@@ -2,13 +2,13 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "obs/span.hpp"
+#include "trace/trace.hpp"
 
 namespace rats::scenario {
 
@@ -809,14 +809,9 @@ std::string quote(const std::string& s) {
 }
 
 std::string num(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 1e15)
+    return std::to_string(static_cast<long long>(v));
+  return trace_double(v);
 }
 
 std::string num_list(const std::vector<double>& values) {

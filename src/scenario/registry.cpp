@@ -1162,7 +1162,7 @@ std::string render_trace(const ScenarioSpec& spec, unsigned threads) {
   TraceSession session(writer);
   build_with(entry, effective, &session);  // the report model is discarded
   writer.finish();
-  return out.str();
+  return std::move(out).str();
 }
 
 void run(const ScenarioSpec& spec, const RunOptions& options) {
@@ -1232,7 +1232,7 @@ void run(const ScenarioSpec& spec, const RunOptions& options) {
       TraceSession session(writer);
       m = build_with(entry, effective, wrap(&session));
       writer.finish();
-      *trace_out = out.str();
+      *trace_out = std::move(out).str();
     }
     progress.reset();  // close the heartbeat line before any rendering
     if (obs::metrics_enabled()) fill_metrics(m, before);

@@ -1,7 +1,9 @@
 #include "trace/replay.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "scenario/parser.hpp"
@@ -55,16 +57,56 @@ bool extract_string_field(const std::string& line, const std::string& key,
   return false;  // unterminated
 }
 
-/// First line of `text` starting at `pos` (without the newline).
-std::string line_at(const std::string& text, std::size_t pos) {
-  const std::size_t end = text.find('\n', pos);
-  return text.substr(pos, end == std::string::npos ? std::string::npos
-                                                   : end - pos);
+/// The line of `text` starting at `pos`, without its newline.
+std::string_view line_at(std::string_view text, std::size_t pos) {
+  return text.substr(pos, text.find('\n', pos) - pos);
 }
 
-std::string truncate(std::string s, std::size_t limit = 160) {
-  if (s.size() > limit) s = s.substr(0, limit) + "...";
-  return s;
+std::string truncate(std::string_view s, std::size_t limit = 160) {
+  return s.size() > limit ? std::string(s.substr(0, limit)) + "..."
+                          : std::string(s);
+}
+
+/// Counts run meta lines and event lines of an accepted stream.
+void count_lines(std::string_view text, ReplayReport& report) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::string_view line = line_at(text, pos);
+    if (line.starts_with("{\"run\":")) ++report.runs;
+    else if (line.starts_with("{\"t\":") || line.starts_with("{\"r\":"))
+      ++report.events;
+    pos += line.size() + 1;
+  }
+}
+
+/// Describes the first line where `actual` and `expected` differ
+/// (they must differ), numbered from 1.
+std::string first_difference(std::string_view actual,
+                             std::string_view expected,
+                             const std::string& path) {
+  const std::size_t common = static_cast<std::size_t>(
+      std::mismatch(actual.begin(), actual.end(), expected.begin(),
+                    expected.end())
+          .first -
+      actual.begin());
+  // Both buffers agree before `common`, so the differing line starts at
+  // the same offset in each (npos + 1 wraps to 0 on the first line).
+  const std::size_t start = actual.substr(0, common).rfind('\n') + 1;
+  const std::string where =
+      path + ":" +
+      std::to_string(1 + std::count(actual.begin(),
+                                    actual.begin() +
+                                        static_cast<std::ptrdiff_t>(start),
+                                    '\n')) +
+      ": ";
+  if (common == actual.size())
+    return where + "trace ends early" + (start < common ? " (mid-line)" : "") +
+           "; replay expects: " + truncate(line_at(expected, start));
+  if (common == expected.size())
+    return where + "trailing content after the replayed stream: " +
+           truncate(line_at(actual, start));
+  return where + "trace diverges from replay\n  trace:  " +
+         truncate(line_at(actual, start)) +
+         "\n  replay: " + truncate(line_at(expected, start));
 }
 
 }  // namespace
@@ -76,9 +118,15 @@ ReplayReport verify_trace(const std::string& path, unsigned threads) {
     report.error = "cannot open trace file '" + path + "'";
     return report;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string bytes = buffer.str();
+  // Read into one buffer, reserved up front when the file has a size
+  // (a pipe has none).
+  std::string bytes;
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) bytes.reserve(size);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
   // Traces written with `trace-gzip = true` inflate to the exact bytes
   // of the plain stream, so verification proceeds unchanged.
   if (gzip_is_compressed(bytes)) {
@@ -96,10 +144,10 @@ ReplayReport verify_trace(const std::string& path, unsigned threads) {
 ReplayReport verify_trace_text(const std::string& actual,
                                const std::string& path, unsigned threads) {
   ReplayReport report;
-  const std::string header = line_at(actual, 0);
-  if (header.rfind("{\"rats_trace\":2,", 0) != 0) {
+  const std::string header(line_at(actual, 0));
+  if (!header.starts_with("{\"rats_trace\":2,")) {
     report.error =
-        header.rfind("{\"rats_trace\":", 0) == 0
+        header.starts_with("{\"rats_trace\":")
             ? path + ":1: unsupported trace version (this build reads v2)"
             : path + ":1: not a RATS trace (header line missing)";
     return report;
@@ -120,41 +168,13 @@ ReplayReport verify_trace_text(const std::string& actual,
     return report;
   }
 
-  // Byte-diff, reported line by line.  (A line consumes its newline;
-  // a final line without one pushes the position one past the end,
-  // which the bounds checks below must run before any further
-  // line_at.)
-  std::size_t line_no = 1, pos_a = 0, pos_e = 0;
-  while (pos_a < actual.size() || pos_e < expected.size()) {
-    if (pos_a >= actual.size()) {
-      report.error = path + ":" + std::to_string(line_no) +
-                     ": trace ends early; replay expects: " +
-                     truncate(line_at(expected, pos_e));
-      return report;
-    }
-    if (pos_e >= expected.size()) {
-      report.error = path + ":" + std::to_string(line_no) +
-                     ": trailing content after the replayed stream: " +
-                     truncate(line_at(actual, pos_a));
-      return report;
-    }
-    const std::string line_actual = line_at(actual, pos_a);
-    const std::string line_expected = line_at(expected, pos_e);
-    if (line_actual != line_expected) {
-      report.error = path + ":" + std::to_string(line_no) +
-                     ": trace diverges from replay\n  trace:  " +
-                     truncate(line_actual) +
-                     "\n  replay: " + truncate(line_expected);
-      return report;
-    }
-    if (line_actual.rfind("{\"run\":", 0) == 0) ++report.runs;
-    else if (line_actual.rfind("{\"t\":", 0) == 0 ||
-             line_actual.rfind("{\"r\":", 0) == 0)
-      ++report.events;
-    pos_a += line_actual.size() + 1;
-    pos_e += line_expected.size() + 1;
-    ++line_no;
+  // One whole-buffer byte compare; only a mismatch pays for locating
+  // the first differing line.
+  if (actual != expected) {
+    report.error = first_difference(actual, expected, path);
+    return report;
   }
+  count_lines(actual, report);
   report.ok = true;
   return report;
 }

@@ -24,7 +24,8 @@ struct ReplayReport {
 };
 
 /// Re-simulates the scenario embedded in the trace file's header and
-/// byte-diffs the regenerated stream against the file.  `threads`
+/// compares the regenerated stream with the file as whole buffers; on
+/// a mismatch `error` names the first differing line.  `threads`
 /// parallelizes the re-simulation (0 = hardware concurrency); the
 /// regenerated bytes do not depend on it.
 ReplayReport verify_trace(const std::string& path, unsigned threads = 0);

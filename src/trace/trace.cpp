@@ -1,8 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -15,6 +15,13 @@ namespace {
 /// Bit equality (== would conflate +0/-0 and the formatter would not).
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Appends a decimal integer without a temporary string.
+void append_int(std::string& out, std::int32_t value) {
+  char buf[12];
+  const auto r = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -38,19 +45,42 @@ const char* to_string(TraceEventKind kind) {
   return "?";
 }
 
-std::string trace_double(double value) {
+void append_trace_double(std::string& out, double value) {
+  // 24 bytes hold the longest general-17 form, "-2.2250738585072014e-308".
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  const auto r = std::to_chars(buf, buf + sizeof buf, value,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
+std::string trace_double(double value) {
+  std::string out;
+  append_trace_double(out, value);
+  return out;
+}
+
+namespace {
+
+/// The self-contained line form, appended without its newline.
+void append_event_line(const TraceEvent& event, std::string& out) {
+  out += "{\"t\":";
+  append_trace_double(out, event.time);
+  out += ",\"ev\":\"";
+  out += to_string(event.kind);
+  out += "\",\"a\":";
+  append_int(out, event.a);
+  out += ",\"b\":";
+  append_int(out, event.b);
+  out += ",\"v\":";
+  append_trace_double(out, event.value);
+  out += '}';
+}
+
+}  // namespace
+
 std::string trace_event_line(const TraceEvent& event) {
-  std::string line = "{\"t\":" + trace_double(event.time);
-  line += ",\"ev\":\"";
-  line += to_string(event.kind);
-  line += "\",\"a\":" + std::to_string(event.a);
-  line += ",\"b\":" + std::to_string(event.b);
-  line += ",\"v\":" + trace_double(event.value) + "}";
+  std::string line;
+  append_event_line(event, line);
   return line;
 }
 
@@ -63,20 +93,23 @@ void TraceLineEncoder::reset() {
 
 void TraceLineEncoder::append(const TraceEvent& event, std::string& out) {
   if (event.kind != TraceEventKind::RateChange) {
-    out += trace_event_line(event);
+    append_event_line(event, out);
     out += '\n';
     time_ = event.time;
     have_time_ = true;
     return;
   }
-  out += "{\"r\":" + std::to_string(event.a);
+  out += "{\"r\":";
+  append_int(out, event.a);
   if (!have_time_ || !same_bits(event.time, time_)) {
-    out += ",\"t\":" + trace_double(event.time);
+    out += ",\"t\":";
+    append_trace_double(out, event.time);
     time_ = event.time;
     have_time_ = true;
   }
   if (!have_rate_ || !same_bits(event.value, rate_)) {
-    out += ",\"v\":" + trace_double(event.value);
+    out += ",\"v\":";
+    append_trace_double(out, event.value);
     rate_ = event.value;
     have_rate_ = true;
   }
@@ -92,21 +125,29 @@ void TraceLineDecoder::reset() {
 
 namespace {
 
-/// Parses `"key":` at `at` followed by a number; advances `at` past it.
-bool parse_number_field(const std::string& line, const char* key,
-                        std::size_t& at, double& out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  if (line.compare(at, needle.size(), needle) != 0) return false;
-  at += needle.size();
-  const char* start = line.c_str() + at;
-  char* end = nullptr;
-  out = std::strtod(start, &end);
-  if (end == start) return false;
-  at += static_cast<std::size_t>(end - start);
+/// Consumes `token` at `at` when the line continues with it.
+bool consume(std::string_view line, std::size_t& at, std::string_view token) {
+  if (line.substr(at, token.size()) != token) return false;
+  at += token.size();
   return true;
 }
 
-TraceEventKind kind_from_string(const std::string& name, bool& ok) {
+/// Parses `key` (the literal text before the value, e.g. `,"t":`) at
+/// `at` followed by a number — a double, or an int32 written in plain
+/// decimal.  Advances `at` past both only on success.
+template <class Number>
+bool parse_field(std::string_view line, std::size_t& at, std::string_view key,
+                 Number& out) {
+  std::size_t pos = at;
+  if (!consume(line, pos, key)) return false;
+  const char* first = line.data() + pos;
+  const auto r = std::from_chars(first, line.data() + line.size(), out);
+  if (r.ec != std::errc{}) return false;
+  at = pos + static_cast<std::size_t>(r.ptr - first);
+  return true;
+}
+
+TraceEventKind kind_from_string(std::string_view name, bool& ok) {
   ok = true;
   if (name == "task_start") return TraceEventKind::TaskStart;
   if (name == "task_finish") return TraceEventKind::TaskFinish;
@@ -127,36 +168,20 @@ TraceEventKind kind_from_string(const std::string& name, bool& ok) {
 
 }  // namespace
 
-bool TraceLineDecoder::decode(const std::string& line, TraceEvent& out) {
+bool TraceLineDecoder::decode(std::string_view line, TraceEvent& out) {
   out = TraceEvent{};
-  if (line.rfind("{\"r\":", 0) == 0) {
+  std::size_t at = 0;
+  if (line.starts_with("{\"r\":")) {
     // Delta-encoded rate change: inherit time/value unless present.
-    std::size_t at = 1;  // at the `"r"` key
-    double flow = 0;
-    if (!parse_number_field(line, "r", at, flow)) return false;
     out.kind = TraceEventKind::RateChange;
-    out.a = static_cast<std::int32_t>(flow);
-    out.b = -1;
+    if (!parse_field(line, at, "{\"r\":", out.a)) return false;
     // Parse into locals and commit to the inherited state only once the
     // whole line is accepted — a rejected line must not corrupt what
     // later lines inherit.
     double time = 0, rate = 0;
-    bool line_has_time = false, line_has_rate = false;
-    if (at < line.size() && line[at] == ',') {
-      std::size_t try_at = at + 1;
-      if (parse_number_field(line, "t", try_at, time)) {
-        line_has_time = true;
-        at = try_at;
-      }
-    }
-    if (at < line.size() && line[at] == ',') {
-      std::size_t try_at = at + 1;
-      if (parse_number_field(line, "v", try_at, rate)) {
-        line_has_rate = true;
-        at = try_at;
-      }
-    }
-    if (line.compare(at, std::string::npos, "}") != 0) return false;
+    const bool line_has_time = parse_field(line, at, ",\"t\":", time);
+    const bool line_has_rate = parse_field(line, at, ",\"v\":", rate);
+    if (line.substr(at) != "}") return false;
     if ((!line_has_time && !have_time_) || (!line_has_rate && !have_rate_))
       return false;  // nothing to inherit
     if (line_has_time) {
@@ -173,38 +198,23 @@ bool TraceLineDecoder::decode(const std::string& line, TraceEvent& out) {
   }
 
   // Self-contained form: {"t":..,"ev":"..","a":..,"b":..,"v":..}
-  if (line.rfind("{\"t\":", 0) != 0) return false;
-  std::size_t at = 1;
-  double time = 0;
-  if (!parse_number_field(line, "t", at, time)) return false;
-  const std::string ev_needle = ",\"ev\":\"";
-  if (line.compare(at, ev_needle.size(), ev_needle) != 0) return false;
-  at += ev_needle.size();
+  if (!parse_field(line, at, "{\"t\":", out.time) ||
+      !consume(line, at, ",\"ev\":\""))
+    return false;
   const std::size_t name_end = line.find('"', at);
-  if (name_end == std::string::npos) return false;
+  if (name_end == std::string_view::npos) return false;
   bool ok = false;
   out.kind = kind_from_string(line.substr(at, name_end - at), ok);
   if (!ok) return false;
-  at = name_end + 1;
-  double a = 0, b = 0, v = 0;
-  if (line.compare(at, 1, ",") != 0) return false;
-  ++at;
-  if (!parse_number_field(line, "a", at, a)) return false;
-  if (line.compare(at, 1, ",") != 0) return false;
-  ++at;
-  if (!parse_number_field(line, "b", at, b)) return false;
-  if (line.compare(at, 1, ",") != 0) return false;
-  ++at;
-  if (!parse_number_field(line, "v", at, v)) return false;
-  if (line.compare(at, std::string::npos, "}") != 0) return false;
-  out.time = time;
-  out.a = static_cast<std::int32_t>(a);
-  out.b = static_cast<std::int32_t>(b);
-  out.value = v;
-  time_ = time;
+  at = name_end;
+  if (!parse_field(line, at, "\",\"a\":", out.a) ||
+      !parse_field(line, at, ",\"b\":", out.b) ||
+      !parse_field(line, at, ",\"v\":", out.value) || line.substr(at) != "}")
+    return false;
+  time_ = out.time;
   have_time_ = true;
   if (out.kind == TraceEventKind::RateChange) {
-    rate_ = v;
+    rate_ = out.value;
     have_rate_ = true;
   }
   return true;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -118,8 +119,9 @@ class TraceLineDecoder {
  public:
   void reset();
   /// Decodes one line (no trailing newline) into `out`; returns false
-  /// on malformed input.
-  bool decode(const std::string& line, TraceEvent& out);
+  /// on malformed input.  Ids (`r`, `a`, `b`) must be plain decimal
+  /// int32 values, exactly as the encoder writes them.
+  bool decode(std::string_view line, TraceEvent& out);
 
  private:
   bool have_time_ = false;
@@ -128,10 +130,17 @@ class TraceLineDecoder {
   double rate_ = 0;
 };
 
-/// Round-trip double formatting (%.17g) shared by every trace field —
-/// writer and replay checker must agree byte for byte, so this is the
-/// only double formatter trace files go through.
+/// Round-trip double formatting shared by every trace field — writer
+/// and replay checker must agree byte for byte, so this is the only
+/// double formatter trace files go through.  It is
+/// `std::to_chars(..., std::chars_format::general, 17)`, which the
+/// standard defines as printf's `%.17g` in the C locale: the same bytes
+/// as `%.17g`, independent of the process locale.
 std::string trace_double(double value);
+
+/// Appends `trace_double(value)` to `out` without a temporary string
+/// (the encoder's hot path).
+void append_trace_double(std::string& out, double value);
 
 /// JSON string escaping for the writer/header helpers (escapes
 /// backslash, quote, and control characters incl. newlines).

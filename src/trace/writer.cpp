@@ -59,13 +59,18 @@ void TraceWriter::end_run(std::size_t run, double makespan) {
   // flushing is the compact encoded text, not the raw event buffer.
   {
     obs::PhaseTimer span("trace/encode");
-    p->encoded = std::move(p->meta_line);
+    std::string& chunk = p->encoded;
+    chunk = std::move(p->meta_line);
     TraceLineEncoder encoder;
     for (const TraceEvent& event : p->sink->events())
-      encoder.append(event, p->encoded);
-    p->encoded += "{\"run_end\":" + std::to_string(run) +
-                  ",\"events\":" + std::to_string(p->sink->size()) +
-                  ",\"makespan\":" + trace_double(makespan) + "}\n";
+      encoder.append(event, chunk);
+    chunk += "{\"run_end\":";
+    chunk += std::to_string(run);
+    chunk += ",\"events\":";
+    chunk += std::to_string(p->sink->size());
+    chunk += ",\"makespan\":";
+    append_trace_double(chunk, makespan);
+    chunk += "}\n";
   }
   const std::size_t events = p->sink->size();
   p->sink.reset();

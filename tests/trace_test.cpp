@@ -3,11 +3,19 @@
 // Gantt exporters, and the deterministic replay checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -85,6 +93,58 @@ TEST(TraceSinkTest, EventLineFormat) {
   e.value = 1.0 / 3.0;
   EXPECT_NE(trace_event_line(e).find("\"v\":0.33333333333333331"),
             std::string::npos);
+}
+
+// ---- double formatting -------------------------------------------------
+
+/// The formatter trace_double replaced, kept as the byte reference.
+std::string printf_17g(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+TEST(TraceDoubleTest, MatchesPrintfOnBoundaryValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {0.0,     -0.0,     DBL_MIN,      DBL_MAX,
+                                DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0),
+                                inf,     -inf,     nan,          -nan,
+                                0.1,     1.0 / 3.0, 125e6,       62.5e6};
+  // Powers of two ±1 ulp across the whole exponent range.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.insert(values.end(),
+                  {p, std::nextafter(p, inf), std::nextafter(p, 0.0)});
+  }
+  // Powers of ten ±1 ulp, covering the %g fixed/exponent switches
+  // (1e-5, 1e17) and the 1e15/1e16 integer-precision boundaries.
+  for (int e = -6; e <= 18; ++e) {
+    const double p = std::pow(10.0, e);
+    values.insert(values.end(),
+                  {p, std::nextafter(p, inf), std::nextafter(p, 0.0)});
+  }
+  for (const double v : values) {
+    EXPECT_EQ(trace_double(v), printf_17g(v)) << std::hexfloat << v;
+    EXPECT_EQ(trace_double(-v), printf_17g(-v)) << std::hexfloat << -v;
+  }
+}
+
+TEST(TraceDoubleTest, MatchesPrintfOnRandomBitPatterns) {
+  // Uniform bit patterns hit every exponent, subnormals and NaN
+  // payloads alike.
+  std::mt19937_64 rng(20080925);
+  std::size_t mismatches = 0;
+  std::string first;
+  for (int i = 0; i < (1 << 20); ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    const std::string got = trace_double(v), want = printf_17g(v);
+    if (got != want && mismatches++ == 0)
+      first = got + " vs %.17g " + want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
 TEST(TraceSinkTest, JsonEscaping) {
@@ -171,6 +231,28 @@ TEST(TraceEncodingTest, DecoderRejectsMalformedAndOrphanLines) {
       decoder.decode("{\"t\":1,\"ev\":\"rate\",\"a\":1,\"b\":-1,\"v\":5}", out));
   EXPECT_TRUE(decoder.decode("{\"r\":3}", out));  // now it inherits
   EXPECT_EQ(out.a, 3);
+  EXPECT_EQ(out.time, 1.0);
+  EXPECT_EQ(out.value, 5.0);
+  // Ids are plain decimal int32 values: no exponent, fraction, sign
+  // prefix or out-of-range magnitude, in either line form.
+  for (const char* id : {"1e99", "1.5", "+3", "2147483648", "-2147483649",
+                         "0x10", " 3", "", "nan"}) {
+    const std::string text(id);
+    EXPECT_FALSE(decoder.decode("{\"r\":" + text + "}", out)) << text;
+    EXPECT_FALSE(decoder.decode("{\"t\":1,\"ev\":\"task_start\",\"a\":" +
+                                    text + ",\"b\":1,\"v\":0}",
+                                out))
+        << text;
+    EXPECT_FALSE(decoder.decode(
+        "{\"t\":1,\"ev\":\"task_start\",\"a\":1,\"b\":" + text + ",\"v\":0}",
+        out))
+        << text;
+  }
+  EXPECT_TRUE(decoder.decode("{\"r\":-2147483648}", out));
+  EXPECT_EQ(out.a, std::numeric_limits<std::int32_t>::min());
+  EXPECT_TRUE(decoder.decode("{\"r\":2147483647}", out));
+  EXPECT_EQ(out.a, std::numeric_limits<std::int32_t>::max());
+  // Rejected lines left the inherited time and rate untouched.
   EXPECT_EQ(out.time, 1.0);
   EXPECT_EQ(out.value, 5.0);
 }
@@ -301,6 +383,65 @@ TEST(TraceReplayTest, DetectsTampering) {
   EXPECT_NE(report.error.find("diverges from replay"), std::string::npos)
       << report.error;
   std::remove(path.c_str());
+}
+
+/// Number of lines in a newline-terminated text.
+std::size_t line_count(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(TraceReplayTest, RejectsMissingFinalNewline) {
+  // The trace minus its last byte: every line still matches as text,
+  // but the stream is not byte-identical.
+  const std::string path =
+      write_temp_trace(tiny_experiment_spec(), "unterminated_trace.jsonl");
+  std::ifstream in(path, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(text.back(), '\n');
+  const std::size_t lines = line_count(text);
+  text.pop_back();
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  out.close();
+  const ReplayReport report = verify_trace(path, 1);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find(":" + std::to_string(lines) +
+                              ": trace ends early (mid-line)"),
+            std::string::npos)
+      << report.error;
+  std::remove(path.c_str());
+}
+
+TEST(TraceReplayTest, RejectsATraceThatEndsEarly) {
+  const std::string text = scenario::render_trace(tiny_experiment_spec(), 1);
+  const std::size_t lines = line_count(text);
+  // Drop the whole last line (the final run_end record).
+  const std::size_t last_line = text.rfind('\n', text.size() - 2) + 1;
+  const ReplayReport report =
+      verify_trace_text(text.substr(0, last_line), "cut.jsonl", 1);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("cut.jsonl:" + std::to_string(lines) +
+                              ": trace ends early; replay expects: "
+                              "{\"run_end\":"),
+            std::string::npos)
+      << report.error;
+}
+
+TEST(TraceReplayTest, RejectsTrailingContent) {
+  const std::string text = scenario::render_trace(tiny_experiment_spec(), 1);
+  const std::size_t lines = line_count(text);
+  const ReplayReport report =
+      verify_trace_text(text + "{\"extra\":1}\n", "long.jsonl", 1);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("long.jsonl:" + std::to_string(lines + 1) +
+                              ": trailing content after the replayed "
+                              "stream: {\"extra\":1}"),
+            std::string::npos)
+      << report.error;
+  // A lone extra newline is trailing content too.
+  EXPECT_FALSE(verify_trace_text(text + "\n", "long.jsonl", 1).ok);
 }
 
 TEST(TraceReplayTest, RejectsNonTraces) {
