@@ -2,45 +2,108 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "common/error.hpp"
 #include "exp/parallel.hpp"
+#include "obs/span.hpp"
 
 namespace rats {
+
+namespace {
+
+/// Step one of a run matrix, computed on first use and at most once per
+/// (graph, allocation kind), graph = (cluster, entry).  Slots are
+/// claimed through std::call_once, so concurrent cells of one entry
+/// wait for a single computation, and the `schedule/allocate` span and
+/// `sched/allocations` counts do not depend on the thread count.
+class AllocationMemo {
+ public:
+  explicit AllocationMemo(std::size_t graphs) : slots_(graphs * kKinds) {}
+
+  const Allocation& get(std::size_t graph_index, const TaskGraph& graph,
+                        const Cluster& cluster, AllocationKind kind) {
+    Slot& slot = slots_[graph_index * kKinds + static_cast<std::size_t>(kind)];
+    std::call_once(slot.once, [&] {
+      obs::PhaseTimer span("schedule/allocate");
+      slot.allocation = allocate(graph, cluster, {kind});
+    });
+    return slot.allocation;
+  }
+
+ private:
+  static constexpr std::size_t kKinds = 3;  // Cpa, Hcpa, Mcpa
+  struct Slot {
+    std::once_flag once;
+    Allocation allocation;
+  };
+  std::vector<Slot> slots_;
+};
+
+}  // namespace
+
+std::vector<ExperimentData> run_matrix(
+    const std::vector<CorpusEntry>& corpus, std::span<const Cluster> clusters,
+    const std::vector<std::string>& algo_names, const CellAlgo& algo,
+    unsigned threads, RunSession* session, const SimulatorOptions* base_sim) {
+  RATS_REQUIRE(!corpus.empty() && !algo_names.empty(),
+               "experiment needs a corpus and algorithms");
+  std::vector<ExperimentData> results(clusters.size());
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    ExperimentData& data = results[c];
+    data.cluster_name = clusters[c].name();
+    data.algo_names = algo_names;
+    data.families.reserve(corpus.size());
+    data.entry_names.reserve(corpus.size());
+    for (const auto& entry : corpus) {
+      data.families.push_back(entry.family);
+      data.entry_names.push_back(entry.name);
+    }
+    data.outcome.assign(corpus.size(),
+                        std::vector<RunOutcome>(algo_names.size()));
+  }
+
+  // One flat (cluster, entry, algo) batch: every scenario is an
+  // independent job, each writing only its own outcome slot.
+  AllocationMemo memo(clusters.size() * corpus.size());
+  const std::size_t algos = algo_names.size();
+  const std::size_t per_cluster = corpus.size() * algos;
+  if (session) session->begin_matrix(clusters.size() * per_cluster);
+  parallel_for(clusters.size() * per_cluster, [&](std::size_t j) {
+    const std::size_t c = j / per_cluster;
+    const std::size_t e = (j % per_cluster) / algos;
+    const std::size_t a = j % algos;
+    const AlgoSpec& spec = algo(c, e, a);
+    const Cluster& cluster = clusters[c];
+    RunOutcome& out = results[c].outcome[e][a];
+    const RunMeta meta{corpus[e].name, spec.name, cluster.name()};
+    if (session && session->inject(j, meta, out)) return;
+    SimulatorOptions sim = base_sim ? *base_sim : SimulatorOptions{};
+    if (session) sim.trace = session->begin_run(j, meta);
+    const Allocation& allocation =
+        memo.get(c * corpus.size() + e, corpus[e].graph, cluster,
+                 allocation_kind(spec.options.kind));
+    out = run_scenario(corpus[e].graph, cluster, spec.options, sim,
+                       &allocation);
+    if (session) session->end_run(j, out);
+  }, threads);
+  return results;
+}
 
 ExperimentData run_experiment(const std::vector<CorpusEntry>& corpus,
                               const Cluster& cluster,
                               const std::vector<AlgoSpec>& algos,
                               unsigned threads, RunSession* session,
                               const SimulatorOptions* base_sim) {
-  RATS_REQUIRE(!corpus.empty() && !algos.empty(),
-               "experiment needs a corpus and algorithms");
-  ExperimentData data;
-  data.cluster_name = cluster.name();
-  for (const auto& a : algos) data.algo_names.push_back(a.name);
-  data.families.reserve(corpus.size());
-  data.entry_names.reserve(corpus.size());
-  for (const auto& entry : corpus) {
-    data.families.push_back(entry.family);
-    data.entry_names.push_back(entry.name);
-  }
-  data.outcome.assign(corpus.size(),
-                      std::vector<RunOutcome>(algos.size()));
-
-  const std::size_t jobs = corpus.size() * algos.size();
-  if (session) session->begin_matrix(jobs);
-  parallel_for(jobs, [&](std::size_t j) {
-    const std::size_t e = j / algos.size();
-    const std::size_t a = j % algos.size();
-    const RunMeta meta{corpus[e].name, algos[a].name, cluster.name()};
-    if (session && session->inject(j, meta, data.outcome[e][a])) return;
-    SimulatorOptions sim = base_sim ? *base_sim : SimulatorOptions{};
-    if (session) sim.trace = session->begin_run(j, meta);
-    data.outcome[e][a] =
-        run_scenario(corpus[e].graph, cluster, algos[a].options, sim);
-    if (session) session->end_run(j, data.outcome[e][a]);
-  }, threads);
-  return data;
+  std::vector<std::string> names;
+  for (const auto& a : algos) names.push_back(a.name);
+  return run_matrix(
+             corpus, {&cluster, 1}, names,
+             [&](std::size_t, std::size_t, std::size_t a) -> const AlgoSpec& {
+               return algos[a];
+             },
+             threads, session, base_sim)
+      .front();
 }
 
 std::vector<double> relative_series(const ExperimentData& data,

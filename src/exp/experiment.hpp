@@ -2,8 +2,17 @@
 // paper's figures and tables: relative makespan/work series (Figures
 // 2-3 and 6-7), pairwise better/equal/worse counts (Table V) and
 // degradation from best (Table VI).
+//
+// Every run matrix (run_experiment, the tuned batches of
+// exp/presets.hpp, the sweep grids of exp/tuning.hpp) goes through one
+// cell runner, `run_matrix`, which shares step one of the schedulers
+// literally: each (cluster, entry, allocation kind) is allocated once,
+// on first use, and HCPA and both RATS mappings map that allocation.
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +55,21 @@ ExperimentData run_experiment(const std::vector<CorpusEntry>& corpus,
                               unsigned threads = 0,
                               RunSession* session = nullptr,
                               const SimulatorOptions* base_sim = nullptr);
+
+/// The algorithm of cell (cluster, entry, algo) of a run matrix.
+using CellAlgo = std::function<const AlgoSpec&(
+    std::size_t cluster, std::size_t entry, std::size_t algo)>;
+
+/// The cell runner behind every run matrix: runs `clusters` x `corpus`
+/// x `algo_names` as one parallel batch, job j = (cluster * entries +
+/// entry) * algos + algo, which is also the session's run index.  Step
+/// one is computed lazily, at most once per (cluster, entry, allocation
+/// kind), and only for cells the session does not inject, so injected
+/// runs allocate nothing.  Returns one ExperimentData per cluster.
+std::vector<ExperimentData> run_matrix(
+    const std::vector<CorpusEntry>& corpus, std::span<const Cluster> clusters,
+    const std::vector<std::string>& algo_names, const CellAlgo& algo,
+    unsigned threads, RunSession* session, const SimulatorOptions* base_sim);
 
 /// Per-entry ratio metric(algo) / metric(reference algo), e.g. the
 /// "makespan relative to HCPA" of Figures 2 and 6.  `metric` selects

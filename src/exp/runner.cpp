@@ -21,10 +21,12 @@ void note_simulated_run() { runs_counter().add_always(1); }
 
 RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& scheduler,
-                        const SimulatorOptions& sim) {
+                        const SimulatorOptions& sim,
+                        const Allocation* allocation) {
   Schedule schedule = [&] {
     obs::PhaseTimer span("schedule");
-    return build_schedule(graph, cluster, scheduler);
+    return allocation ? build_schedule(graph, cluster, scheduler, *allocation)
+                      : build_schedule(graph, cluster, scheduler);
   }();
   const SimulationResult result = [&] {
     obs::PhaseTimer span("simulate");

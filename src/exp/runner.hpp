@@ -20,10 +20,12 @@ struct RunOutcome {
 };
 
 /// Schedules `graph` on `cluster` with `scheduler` and simulates the
-/// result.
+/// result.  `allocation`, when given, is the precomputed step one (see
+/// the build_schedule overload taking it) and only step two runs.
 RunOutcome run_scenario(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& scheduler,
-                        const SimulatorOptions& sim = {});
+                        const SimulatorOptions& sim = {},
+                        const Allocation* allocation = nullptr);
 
 /// Process-wide count of schedule+simulate runs executed so far.  The
 /// one-pass CI gate snapshots it around `rats run --trace` to prove the

@@ -41,7 +41,8 @@ class RunSession {
   /// Offers the session a chance to *supply* run `run`'s outcome
   /// instead of simulating it.  Returning true means `out` holds the
   /// outcome and the runner must skip the schedule+simulate step for
-  /// that run entirely — begin_run/end_run are not called for it.
+  /// that run entirely — begin_run/end_run are not called for it, and
+  /// no allocation is computed on its behalf.
   /// The sharded scenario service (src/serve/) uses this seam three
   /// ways: a dry pass injecting every run to learn the matrix shape, a
   /// worker pass injecting everything outside its shard, and a replay

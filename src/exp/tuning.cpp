@@ -3,43 +3,12 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "exp/parallel.hpp"
 
 namespace rats {
 
 std::vector<double> tuning_mindeltas() { return {0.0, -0.25, -0.5, -0.75}; }
 std::vector<double> tuning_maxdeltas() { return {0.0, 0.25, 0.5, 0.75, 1.0}; }
 std::vector<double> tuning_minrhos() { return {0.2, 0.4, 0.5, 0.6, 0.8, 1.0}; }
-
-std::vector<double> reference_makespans(const std::vector<CorpusEntry>& corpus,
-                                        const Cluster& cluster,
-                                        unsigned threads) {
-  std::vector<double> ref(corpus.size());
-  SchedulerOptions hcpa;
-  hcpa.kind = SchedulerKind::Hcpa;
-  parallel_for(corpus.size(), [&](std::size_t e) {
-    ref[e] = run_scenario(corpus[e].graph, cluster, hcpa).makespan;
-  }, threads);
-  return ref;
-}
-
-double average_relative_makespan(const std::vector<CorpusEntry>& corpus,
-                                 const Cluster& cluster,
-                                 const SchedulerOptions& options,
-                                 const std::vector<double>& reference,
-                                 unsigned threads) {
-  RATS_REQUIRE(reference.size() == corpus.size(),
-               "reference does not cover the corpus");
-  std::vector<double> ratio(corpus.size());
-  parallel_for(corpus.size(), [&](std::size_t e) {
-    const double makespan =
-        run_scenario(corpus[e].graph, cluster, options).makespan;
-    ratio[e] = makespan / reference[e];
-  }, threads);
-  double sum = 0;
-  for (double r : ratio) sum += r;
-  return sum / static_cast<double>(ratio.size());
-}
 
 std::vector<double> sweep_grid(const std::vector<CorpusEntry>& corpus,
                                const Cluster& cluster,

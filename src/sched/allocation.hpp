@@ -17,6 +17,11 @@
 //  * MCPA  — CPA plus a per-level constraint: the tasks of a DAG level
 //            must be able to run concurrently (sum of the level's
 //            allocations <= P).  Meaningful for regular layered DAGs.
+//
+// An allocation depends only on (graph, cluster, kind), so schedulers
+// that share a kind share its allocation literally: HCPA and both RATS
+// mappings map the same HCPA allocation, and the experiment matrices
+// (exp/experiment.hpp) compute it once per (cluster, entry, kind).
 #pragma once
 
 #include <vector>
@@ -36,12 +41,10 @@ using Allocation = std::vector<int>;
 /// Options for the allocation step.
 struct AllocationOptions {
   AllocationKind kind = AllocationKind::Hcpa;
-  /// Safety valve for the iteration count; the loop converges long
-  /// before this for the paper's workloads.
-  int max_iterations = 1'000'000;
 };
 
-/// Runs the allocation step for `graph` on `cluster`.
+/// Runs the allocation step for `graph` on `cluster`.  Each call counts
+/// once in the `sched/allocations` metric.
 Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
                     const AllocationOptions& options = {});
 
@@ -52,7 +55,8 @@ Allocation allocate(const TaskGraph& graph, const Cluster& cluster,
 Seconds allocation_edge_cost(const Cluster& cluster, Bytes bytes);
 
 /// The average-area lower bound W used by the given allocator on this
-/// platform (exposed for tests and the ablation bench).
+/// platform.  `allocate` keeps W incrementally; this whole-graph form
+/// is its test oracle.
 double average_area(const TaskGraph& graph, const Cluster& cluster,
                     const AmdahlModel& model, const Allocation& alloc,
                     AllocationKind kind);

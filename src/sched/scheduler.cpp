@@ -15,43 +15,49 @@ std::string to_string(SchedulerKind kind) {
   return "?";
 }
 
+AllocationKind allocation_kind(SchedulerKind kind) {
+  switch (kind) {
+    case SchedulerKind::Cpa: return AllocationKind::Cpa;
+    case SchedulerKind::Mcpa: return AllocationKind::Mcpa;
+    case SchedulerKind::Hcpa:
+    case SchedulerKind::RatsDelta:
+    case SchedulerKind::RatsTimeCost:
+      return AllocationKind::Hcpa;  // RATS reuses HCPA's step one
+  }
+  return AllocationKind::Hcpa;
+}
+
 Schedule build_schedule(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& options) {
-  AllocationOptions alloc_opts;
+  const Allocation allocation = [&] {
+    obs::PhaseTimer span("schedule/allocate");
+    return allocate(graph, cluster, {allocation_kind(options.kind)});
+  }();
+  return build_schedule(graph, cluster, options, allocation);
+}
+
+Schedule build_schedule(const TaskGraph& graph, const Cluster& cluster,
+                        const SchedulerOptions& options,
+                        const Allocation& allocation) {
   MappingOptions map_opts;
   map_opts.secondary_sort = options.secondary_sort;
   map_opts.mindelta = options.rats.mindelta;
   map_opts.maxdelta = options.rats.maxdelta;
   map_opts.minrho = options.rats.minrho;
   map_opts.packing = options.rats.packing;
-
   switch (options.kind) {
     case SchedulerKind::Cpa:
-      alloc_opts.kind = AllocationKind::Cpa;
-      map_opts.mode = MappingMode::Baseline;
-      break;
     case SchedulerKind::Mcpa:
-      alloc_opts.kind = AllocationKind::Mcpa;
-      map_opts.mode = MappingMode::Baseline;
-      break;
     case SchedulerKind::Hcpa:
-      alloc_opts.kind = AllocationKind::Hcpa;
       map_opts.mode = MappingMode::Baseline;
       break;
     case SchedulerKind::RatsDelta:
-      alloc_opts.kind = AllocationKind::Hcpa;  // RATS reuses HCPA's step one
       map_opts.mode = MappingMode::Delta;
       break;
     case SchedulerKind::RatsTimeCost:
-      alloc_opts.kind = AllocationKind::Hcpa;
       map_opts.mode = MappingMode::TimeCost;
       break;
   }
-
-  const Allocation allocation = [&] {
-    obs::PhaseTimer span("schedule/allocate");
-    return allocate(graph, cluster, alloc_opts);
-  }();
   obs::PhaseTimer span("schedule/map");
   return map_tasks(graph, cluster, allocation, map_opts);
 }

@@ -6,6 +6,11 @@
 //   Hcpa         — HCPA allocation + baseline mapping (the paper's baseline)
 //   RatsDelta    — HCPA allocation + delta redistribution-aware mapping
 //   RatsTimeCost — HCPA allocation + time-cost redistribution-aware mapping
+//
+// Step one depends only on `allocation_kind(kind)`, so the last three
+// share one allocation: callers that schedule a graph with several
+// algorithms (the experiment matrices) allocate once per kind and run
+// step two alone through the `build_schedule` overload taking it.
 #pragma once
 
 #include <string>
@@ -18,6 +23,9 @@ enum class SchedulerKind { Cpa, Mcpa, Hcpa, RatsDelta, RatsTimeCost };
 
 /// Printable scheduler name ("HCPA", "RATS-delta", ...).
 std::string to_string(SchedulerKind kind);
+
+/// The allocation procedure (step one) of a scheduler.
+AllocationKind allocation_kind(SchedulerKind kind);
 
 /// Tunable RATS parameters (paper Section IV-C, Table IV).
 struct RatsParams {
@@ -36,5 +44,11 @@ struct SchedulerOptions {
 /// Runs the requested two-step scheduler end to end.
 Schedule build_schedule(const TaskGraph& graph, const Cluster& cluster,
                         const SchedulerOptions& options = {});
+
+/// Runs step two only, mapping a step-one `allocation` that must come
+/// from `allocate(graph, cluster, {allocation_kind(options.kind)})`.
+Schedule build_schedule(const TaskGraph& graph, const Cluster& cluster,
+                        const SchedulerOptions& options,
+                        const Allocation& allocation);
 
 }  // namespace rats

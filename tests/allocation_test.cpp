@@ -1,6 +1,7 @@
 // Unit and property tests for the allocation step (CPA/HCPA/MCPA).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -108,8 +109,8 @@ TEST(Allocation, HcpaAllocatesNoMoreThanCpaOnLargeCluster) {
   Rng rng(3);
   const TaskGraph g = generate_strassen_dag(rng);
   const Cluster c = grid5000::grelon();
-  AllocationOptions cpa{AllocationKind::Cpa, 1'000'000};
-  AllocationOptions hcpa{AllocationKind::Hcpa, 1'000'000};
+  AllocationOptions cpa{AllocationKind::Cpa};
+  AllocationOptions hcpa{AllocationKind::Hcpa};
   const Allocation a_cpa = allocate(g, c, cpa);
   const Allocation a_hcpa = allocate(g, c, hcpa);
   const auto total = [](const Allocation& a) {
@@ -126,8 +127,8 @@ TEST(Allocation, HcpaEqualsCpaWhenTasksExceedProcessors) {
   p.num_tasks = 25;
   const TaskGraph g = generate_layered_dag(p, rng);
   const Cluster c = small_cluster(8);
-  AllocationOptions cpa{AllocationKind::Cpa, 1'000'000};
-  AllocationOptions hcpa{AllocationKind::Hcpa, 1'000'000};
+  AllocationOptions cpa{AllocationKind::Cpa};
+  AllocationOptions hcpa{AllocationKind::Hcpa};
   EXPECT_EQ(allocate(g, c, cpa), allocate(g, c, hcpa));
 }
 
@@ -220,6 +221,81 @@ INSTANTIATE_TEST_SUITE_P(Families, AllocationOnCorpus,
                                            DagFamily::Irregular,
                                            DagFamily::FFT,
                                            DagFamily::Strassen));
+
+/// The CPA loop written plainly: full critical-path pass and whole-graph
+/// average_area every iteration.  `allocate` keeps both incrementally
+/// and must return exactly this allocation.
+Allocation reference_allocate(const TaskGraph& graph, const Cluster& cluster,
+                              AllocationKind kind) {
+  const AmdahlModel model(cluster.node_speed());
+  const int num_procs = cluster.num_nodes();
+  Allocation alloc(static_cast<std::size_t>(graph.num_tasks()), 1);
+  std::vector<std::int32_t> level;
+  std::vector<std::int64_t> level_total;
+  if (kind == AllocationKind::Mcpa) {
+    level = task_levels(graph);
+    level_total.assign(
+        static_cast<std::size_t>(*std::max_element(level.begin(), level.end()) + 1),
+        0);
+    for (auto l : level) ++level_total[static_cast<std::size_t>(l)];
+  }
+  const auto node_cost = [&](TaskId t) {
+    return model.execution_time(graph.task(t),
+                                alloc[static_cast<std::size_t>(t)]);
+  };
+  const auto edge_cost = [&](EdgeId e) {
+    return allocation_edge_cost(cluster, graph.edge(e).bytes);
+  };
+  for (;;) {
+    const CriticalPath cp = critical_path(graph, node_cost, edge_cost);
+    if (cp.length <= average_area(graph, cluster, model, alloc, kind)) break;
+    TaskId best = kInvalidTask;
+    double best_benefit = 0;
+    for (TaskId t : cp.tasks) {
+      const int np = alloc[static_cast<std::size_t>(t)];
+      if (np >= num_procs) continue;
+      if (kind == AllocationKind::Mcpa &&
+          level_total[static_cast<std::size_t>(
+              level[static_cast<std::size_t>(t)])] + 1 > num_procs)
+        continue;
+      const double benefit =
+          model.execution_time(graph.task(t), np) / np -
+          model.execution_time(graph.task(t), np + 1) / (np + 1);
+      if (best == kInvalidTask || benefit > best_benefit) {
+        best = t;
+        best_benefit = benefit;
+      }
+    }
+    if (best == kInvalidTask) break;
+    ++alloc[static_cast<std::size_t>(best)];
+    if (kind == AllocationKind::Mcpa)
+      ++level_total[static_cast<std::size_t>(
+          level[static_cast<std::size_t>(best)])];
+  }
+  return alloc;
+}
+
+TEST(Allocation, MatchesPlainCpaLoopOnCorpus) {
+  CorpusOptions o;
+  o.seed = 7;
+  o.random_samples = 1;
+  o.kernel_samples = 1;
+  std::vector<CorpusEntry> corpus;
+  for (DagFamily f : {DagFamily::Layered, DagFamily::Irregular,
+                      DagFamily::FFT, DagFamily::Strassen}) {
+    const auto family = build_family(f, o);
+    for (std::size_t i = 0; i < family.size(); i += 1 + family.size() / 6)
+      corpus.push_back(family[i]);
+  }
+  for (const Cluster& c : grid5000::all())
+    for (AllocationKind kind :
+         {AllocationKind::Cpa, AllocationKind::Hcpa, AllocationKind::Mcpa})
+      for (const CorpusEntry& entry : corpus)
+        EXPECT_EQ(allocate(entry.graph, c, {kind}),
+                  reference_allocate(entry.graph, c, kind))
+            << entry.name << " on " << c.name() << " kind "
+            << static_cast<int>(kind);
+}
 
 }  // namespace
 }  // namespace rats

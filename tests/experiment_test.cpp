@@ -8,8 +8,11 @@
 #include "common/error.hpp"
 #include "exp/experiment.hpp"
 #include "exp/parallel.hpp"
+#include "exp/presets.hpp"
 #include "exp/tuning.hpp"
+#include "obs/registry.hpp"
 #include "platform/grid5000.hpp"
+#include "scenario/parser.hpp"
 
 namespace rats {
 namespace {
@@ -197,6 +200,103 @@ TEST(Experiment, EndToEndOnTinyCorpus) {
     }
 }
 
+// ------------------------------------------------- shared step one
+
+scenario::ScenarioSpec checked_in_scenario(const std::string& file) {
+  return scenario::load_scenario(std::string(RATS_SOURCE_DIR) + "/scenarios/" + file);
+}
+
+/// Every cell of `data` equals a direct run_scenario, which allocates
+/// on its own, of the algorithm `algo_of(entry, algo)` returns.
+template <class AlgoOf>
+void expect_cells_match_direct_runs(const ExperimentData& data,
+                                    const std::vector<CorpusEntry>& corpus,
+                                    const Cluster& cluster, AlgoOf algo_of) {
+  ASSERT_EQ(data.entries(), corpus.size());
+  for (std::size_t e = 0; e < corpus.size(); ++e) {
+    for (std::size_t a = 0; a < data.algos(); ++a) {
+      const AlgoSpec spec = algo_of(e, a);
+      const RunOutcome direct =
+          run_scenario(corpus[e].graph, cluster, spec.options);
+      const RunOutcome& cell = data.outcome[e][a];
+      EXPECT_EQ(cell.makespan, direct.makespan)
+          << corpus[e].name << " / " << spec.name;
+      EXPECT_EQ(cell.work, direct.work) << corpus[e].name << " / " << spec.name;
+    }
+  }
+}
+
+TEST(SharedAllocation, ScenarioMatricesMatchDirectRuns) {
+  for (const char* file : {"fig2_quick.rats", "hier_quick.rats"}) {
+    const scenario::ScenarioSpec spec = checked_in_scenario(file);
+    const auto corpus = spec.workload.resolve();
+    const Cluster cluster = spec.platform.resolve_one();
+    const auto algos =
+        spec.algorithms.resolve(DagFamily::Irregular, cluster.name());
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(file) + " threads " + std::to_string(threads));
+      const auto data = run_experiment(corpus, cluster, algos, threads);
+      expect_cells_match_direct_runs(
+          data, corpus, cluster,
+          [&](std::size_t, std::size_t a) { return algos[a]; });
+    }
+  }
+}
+
+TEST(SharedAllocation, TunedMatrixMatchesDirectRuns) {
+  const auto corpus = checked_in_scenario("fig2_quick.rats").workload.resolve();
+  const std::vector<Cluster> clusters = {grid5000::grillon(),
+                                         grid5000::chti()};
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto results =
+        presets::run_tuned_experiments(corpus, clusters, threads);
+    ASSERT_EQ(results.size(), clusters.size());
+    for (std::size_t c = 0; c < clusters.size(); ++c)
+      expect_cells_match_direct_runs(
+          results[c], corpus, clusters[c], [&](std::size_t e, std::size_t a) {
+            return presets::tuned_algos(corpus[e].family,
+                                        clusters[c].name())[a];
+          });
+  }
+}
+
+/// Supplies every outcome, so the matrix runs nothing itself.
+class InjectEveryRun : public RunSession {
+ public:
+  bool inject(std::size_t, const RunMeta&, RunOutcome& out) override {
+    out = RunOutcome{1.0, 1.0, {}};
+    return true;
+  }
+  TraceSink* begin_run(std::size_t, const RunMeta&) override {
+    ADD_FAILURE() << "an injected run must not start";
+    return nullptr;
+  }
+  void end_run(std::size_t, const RunOutcome&) override {
+    ADD_FAILURE() << "an injected run must not end";
+  }
+};
+
+TEST(SharedAllocation, InjectedRunsAllocateNothing) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::Counter& allocations = obs::counter("sched/allocations");
+  const auto corpus = checked_in_scenario("fig2_quick.rats").workload.resolve();
+  const Cluster cluster = grid5000::grillon();
+
+  const std::uint64_t before = allocations.value();
+  InjectEveryRun session;
+  run_experiment(corpus, cluster, presets::naive_algos(), 4, &session);
+  presets::run_tuned_experiments(corpus, {cluster}, 4, &session);
+  EXPECT_EQ(allocations.value(), before);
+
+  // Without the session, HCPA and both RATS mappings share one HCPA
+  // allocation per entry.
+  run_experiment(corpus, cluster, presets::naive_algos(), 4);
+  EXPECT_EQ(allocations.value(), before + corpus.size());
+  obs::set_metrics_enabled(was_enabled);
+}
+
 TEST(Tuning, ParameterListsMatchPaper) {
   EXPECT_EQ(tuning_mindeltas(), (std::vector<double>{0.0, -0.25, -0.5, -0.75}));
   EXPECT_EQ(tuning_maxdeltas(),
@@ -205,26 +305,18 @@ TEST(Tuning, ParameterListsMatchPaper) {
             (std::vector<double>{0.2, 0.4, 0.5, 0.6, 0.8, 1.0}));
 }
 
-TEST(Tuning, ReferenceMakespansArePositive) {
+TEST(Tuning, SweepGridOfReferencePointIsOne) {
+  // A sweep point equal to the HCPA reference maps the memoized HCPA
+  // allocation exactly like the reference does: every ratio is 1.
   CorpusOptions o;
   o.random_samples = 1;
   o.kernel_samples = 1;
   const auto corpus = build_family(DagFamily::Strassen, o);
-  const auto ref = reference_makespans(corpus, grid5000::chti());
-  ASSERT_EQ(ref.size(), 1u);
-  EXPECT_GT(ref[0], 0.0);
-}
-
-TEST(Tuning, AverageRelativeOfReferenceIsOne) {
-  CorpusOptions o;
-  o.random_samples = 1;
-  o.kernel_samples = 1;
-  const auto corpus = build_family(DagFamily::Strassen, o);
-  const Cluster c = grid5000::chti();
-  const auto ref = reference_makespans(corpus, c);
   SchedulerOptions hcpa;
   hcpa.kind = SchedulerKind::Hcpa;
-  EXPECT_NEAR(average_relative_makespan(corpus, c, hcpa, ref), 1.0, 1e-12);
+  const auto avg = sweep_grid(corpus, grid5000::chti(), {hcpa});
+  ASSERT_EQ(avg.size(), 1u);
+  EXPECT_EQ(avg[0], 1.0);
 }
 
 }  // namespace

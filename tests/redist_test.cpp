@@ -2,6 +2,10 @@
 // paper's Table I communication matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
 #include <numeric>
 #include <tuple>
 
@@ -223,6 +227,89 @@ TEST(Estimate, ScalesLinearlyWithVolume) {
   const Seconds t2 =
       estimate_redistribution_time(c, 2e6, nodes({0, 1}), nodes({2, 3}));
   EXPECT_NEAR(t2 - 2e-4, 2.0 * (t1 - 2e-4), 1e-9);
+}
+
+/// The estimate computed the straightforward way: a std::map of
+/// per-link loads and a fresh route per transfer.  The library's
+/// allocation-free version must agree with it bit for bit.
+Seconds reference_estimate(const Cluster& cluster, const Redistribution& r) {
+  if (r.transfers().empty()) return 0;
+  std::map<LinkId, Bytes> load;
+  Seconds max_latency = 0;
+  for (const Transfer& t : r.transfers()) {
+    for (LinkId l : cluster.route(t.src, t.dst)) load[l] += t.bytes;
+    max_latency = std::max(max_latency, cluster.route_latency(t.src, t.dst));
+  }
+  Seconds serial = 0;
+  for (const auto& [link, bytes] : load)
+    serial = std::max(serial, bytes / cluster.link(link).bandwidth);
+  return max_latency + serial;
+}
+
+/// `k` distinct nodes of `cluster` in random order.
+std::vector<NodeId> random_nodes(Rng& rng, const Cluster& cluster, int k) {
+  std::vector<NodeId> all(static_cast<std::size_t>(cluster.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
+    const auto j = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(i),
+        static_cast<std::int64_t>(all.size()) - 1));
+    std::swap(all[i], all[j]);
+  }
+  all.resize(static_cast<std::size_t>(k));
+  return all;
+}
+
+TEST(Estimate, MatchesMapReferenceBitwise) {
+  // Alternating between a flat and a hierarchical cluster also checks
+  // that the per-thread scratch carries nothing from one call (or one
+  // platform) to the next.
+  const std::vector<Cluster> clusters = {
+      Cluster::flat("grillon", 47, 3.185e9, 100e-6, 125e6),
+      Cluster::hierarchical_custom("h3", {24, 24, 16}, 3.185e9, 100e-6,
+                                   125e6, 100e-6, 125e6)};
+  Rng rng(20081001);
+  int compared = 0;
+  int empty = 0;
+  for (int i = 0; i < 12000; ++i) {
+    const Cluster& c = clusters[static_cast<std::size_t>(i % 2)];
+    const int n = c.num_nodes();
+    const int p = static_cast<int>(rng.uniform_int(1, n));
+    const std::vector<NodeId> senders = random_nodes(rng, c, p);
+    std::vector<NodeId> receivers;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // the same set: every byte stays on its node
+        receivers = senders;
+        break;
+      case 1: {  // overlapping sets: some self transfers
+        receivers = senders;
+        receivers.resize(static_cast<std::size_t>(rng.uniform_int(1, p)));
+        const auto extra = random_nodes(rng, c, static_cast<int>(
+                                                     rng.uniform_int(1, n)));
+        for (NodeId x : extra)
+          if (std::find(receivers.begin(), receivers.end(), x) ==
+              receivers.end())
+            receivers.push_back(x);
+        break;
+      }
+      default:
+        receivers = random_nodes(rng, c, static_cast<int>(rng.uniform_int(1, n)));
+    }
+    const Bytes bytes = rng.uniform_int(0, 9) == 0
+                            ? 0.0
+                            : std::pow(10.0, rng.uniform(0.0, 10.0));
+    const auto r = Redistribution::plan(bytes, senders, receivers,
+                                        rng.uniform_int(0, 1) == 1);
+    if (r.transfers().empty()) ++empty;
+    const Seconds got = estimate_redistribution_time(c, r);
+    const Seconds want = reference_estimate(c, r);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "case " << i << ": " << got << " vs " << want;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 12000);
+  EXPECT_GT(empty, 0);  // the no-network case is covered too
 }
 
 // --------------------------------------------------------- RedistPlanner

@@ -129,6 +129,30 @@ TEST_P(ScheduleProperties, SimulationAgreesOnWorkAndCoversAllTasks) {
   }
 }
 
+TEST_P(ScheduleProperties, StepTwoOverloadMatchesFullSchedule) {
+  // Mapping a separately computed step one gives the schedule the
+  // one-call form builds, placement by placement.
+  const auto [cluster_idx, kind] = GetParam();
+  const Cluster cluster =
+      grid5000::all()[static_cast<std::size_t>(cluster_idx)];
+  SchedulerOptions options;
+  options.kind = kind;
+
+  for (const CorpusEntry& entry : corpus()) {
+    const Schedule full = build_schedule(entry.graph, cluster, options);
+    const Schedule split = build_schedule(
+        entry.graph, cluster, options,
+        allocate(entry.graph, cluster, {allocation_kind(options.kind)}));
+    ASSERT_EQ(split.placements.size(), full.placements.size());
+    for (TaskId t = 0; t < entry.graph.num_tasks(); ++t) {
+      EXPECT_EQ(split.of(t).procs, full.of(t).procs) << entry.name;
+      EXPECT_EQ(split.of(t).est_start, full.of(t).est_start) << entry.name;
+      EXPECT_EQ(split.of(t).est_finish, full.of(t).est_finish) << entry.name;
+      EXPECT_EQ(split.of(t).seq, full.of(t).seq) << entry.name;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllClustersAllAlgorithms, ScheduleProperties,
     ::testing::Values(Case{0, SchedulerKind::Cpa}, Case{0, SchedulerKind::Mcpa},
