@@ -43,7 +43,6 @@
 #include "daggen/kernels.hpp"
 #include "daggen/random_dag.hpp"
 #include "exp/autotune.hpp"
-#include "exp/runner.hpp"
 #include "io/workflow_io.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -269,16 +268,7 @@ int cmd_run(int argc, char** argv) {
   // switches after parsing.
   if (!options.metrics_path.empty()) obs::set_metrics_enabled(true);
   if (!options.profile_path.empty()) obs::set_profiling_enabled(true);
-  // RATS_RUN_STATS=1 prints how many schedule+simulate runs the
-  // scenario cost — the CI gate that a traced run's matrix was
-  // simulated exactly once (report and trace share the pass).
-  const std::uint64_t runs_before = simulated_run_count();
   scenario::run(scenario::load_scenario(file), options);
-  const char* stats = std::getenv("RATS_RUN_STATS");
-  if (stats != nullptr && *stats != '\0' && *stats != '0')
-    std::fprintf(stderr, "run-stats: simulated %llu runs\n",
-                 static_cast<unsigned long long>(simulated_run_count() -
-                                                 runs_before));
   return 0;
 }
 

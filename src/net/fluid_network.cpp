@@ -741,10 +741,9 @@ void FluidNetwork::solve_cold(std::int32_t c) {
   const auto t0 = stats.enabled() ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
   if (two_link) {
-    // Flat-cluster component ({src uplink, dst downlink} routes): the
-    // bipartite waterfilling specialization.
-    bipartite_.solve(capacity_, demand_views_.data(), n, group_rates_.data(),
-                     &comp.warm, ids);
+    // A member-order CSR keeps the recorded settle order: same trace bytes.
+    solver_.solve(capacity_, demand_views_.data(), n, group_rates_.data(),
+                  &comp.warm, ids);
   } else {
     // The live per-link membership lists are exactly this component's
     // adjacency, so the solver can walk them instead of building a CSR.

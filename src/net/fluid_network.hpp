@@ -46,13 +46,13 @@
 //    is re-solved *warm* — only the saturation cascade the changed
 //    flows can reach is recomputed, O(cascade) instead of
 //    O(component).  Cold solves (first solve, post-split, deep
-//    cascades) go to the bipartite waterfilling fast path when every
-//    member crosses exactly two links (always true on
-//    `Cluster::flat_routes()` platforms), and to the general
-//    adjacency-sharing solver otherwise; both re-record the trace.  A
-//    merge turns the absorbed component's members into pending
-//    arrivals of the survivor, so warm solving survives the common
-//    merge-on-arrival; a split invalidates the union's trace and
+//    cascades) run the same lazy-heap solver over a per-solve CSR
+//    built in member order when every member crosses exactly two links
+//    (always true on `Cluster::flat_routes()` platforms), and over the
+//    live per-link membership lists otherwise; both re-record the
+//    trace.  A merge turns the absorbed component's members into
+//    pending arrivals of the survivor, so warm solving survives the
+//    common merge-on-arrival; a split invalidates the union's trace and
 //    cold-solves the parts (priming their own traces).
 //    Single-flow components short-circuit the solver entirely:
 //    rate = min(cap, min link capacity);
@@ -344,9 +344,10 @@ class FluidNetwork {
   /// short-circuit, warm re-solve over the pending delta when the
   /// trace allows it, else a traced cold solve.
   void solve_component(std::int32_t c);
-  /// Traced cold solve of a component: bipartite waterfilling when
-  /// every member crosses exactly two links, the general
-  /// adjacency-sharing solver otherwise.  Re-primes `warm`.
+  /// Traced cold solve of a component: a member-order CSR adjacency
+  /// when every member crosses exactly two links (tagged
+  /// `kSolveBipartite`), the live per-link membership lists otherwise
+  /// (`kSolveGeneral`).  Re-primes `warm`.
   void solve_cold(std::int32_t c);
 
   const Cluster* cluster_;
@@ -403,7 +404,6 @@ class FluidNetwork {
   std::vector<FlowId> completed_;
   std::vector<FlowId> drained_;
   MaxMinSolver solver_;
-  BipartiteWaterfillSolver bipartite_;
   std::vector<FlowArrival> arrivals_scratch_;
   std::vector<std::pair<std::int32_t, Rate>> changed_;
 

@@ -10,8 +10,8 @@
 // ---- solver-strategy layer ---------------------------------------------
 //
 // Re-solving a sharing component on every flow arrival/departure is the
-// simulation's hot path, so three strategies are provided and the fluid
-// network dispatches among them per component and per event:
+// simulation's hot path, so two strategies are provided and the fluid
+// network dispatches between them per component and per event:
 //
 //  1. Warm-started re-solve (`MaxMinSolver::solve_warm`).  Progressive
 //     filling fixes flows in rounds of non-decreasing binding shares; a
@@ -41,28 +41,23 @@
 //     what keeps the merged round order bit-identical to a cold solve.
 //     Cost is O(undone suffix) for the undo/splice plus O(cone) heap
 //     work; only structurally stale states decline (returns false,
-//     caller cold-solves).  `WarmMode::kPrefix` disables the splice
-//     (every undone settle re-solves through the cone, with the old
-//     60%-of-trace decline heuristic) and is kept for the microbench
-//     cone-vs-prefix comparison.
-//  2. Bipartite waterfilling (`BipartiteWaterfillSolver`).  On flat
-//     clusters every route is exactly {src uplink, dst downlink}; with
-//     two links per flow the adjacency is a pair of flat arrays, pass 1
-//     unrolls, and the CSR falls out of the per-link counts — an
-//     O(F log F + L log L) solve with far smaller constants than the
-//     general path.  Used for cold (full) component solves whenever
-//     every member crosses exactly two links (`Cluster::flat_routes`
-//     guarantees it platform-wide on flat clusters).
-//  3. General lazy-heap solve (`MaxMinSolver::solve`): builds a
-//     link->flow adjacency (CSR) once per solve — or walks a
-//     caller-shared adjacency — keeps per-link remaining capacity and
-//     unfixed-flow counts, and drives progressive filling from a lazy
-//     min-heap of link fair shares plus a cap-sorted flow list.
-//     Per-link scratch is epoch-stamped and initialized lazily, so a
-//     subset solve costs O(F log F + (F + I) log L_c) with L_c the
-//     distinct subset links — independent of `capacity.size()`.
+//     caller cold-solves).
+//  2. Cold lazy-heap solve (`MaxMinSolver::solve`): keeps per-link
+//     remaining capacity and unfixed-flow counts, and drives
+//     progressive filling from a lazy min-heap of link fair shares plus
+//     a cap-sorted flow list.  Per-link scratch is epoch-stamped and
+//     initialized lazily, so a subset solve costs
+//     O(F log F + (F + I) log L_c) with L_c the distinct subset links —
+//     independent of `capacity.size()`.  The link->flow adjacency comes
+//     from one of two sources, chosen by the fluid network per route
+//     shape: a CSR built per solve in member order (two-link
+//     components, i.e. flat clusters' {src uplink, dst downlink}
+//     routes), or the caller's live per-link membership lists (every
+//     other component).  Rates are identical either way; the adjacency
+//     order only fixes the order in which a saturated link's flows are
+//     settled, and therefore the order of the recorded trace.
 //
-// All three produce bitwise-identical rates: the heap orders ties by
+// Both produce bitwise-identical rates: the heap orders ties by
 // link id, settle arithmetic is order-invariant, and the warm
 // continuation rebuilds a fresh share heap whose pop order matches the
 // lazy heap's.  One subtlety makes that order reproducible: the cold
@@ -84,7 +79,7 @@
 // settle loops, rate flushes and event-heap re-keys run over
 // contiguous memory.  Max-Min rates decompose exactly over
 // connected components of the flow/link sharing graph, so a
-// component-scoped solve — by any strategy — reproduces the full
+// component-scoped solve — by either strategy — reproduces the full
 // solve's per-flow rates bit for bit.  The differential test suite
 // (tests/maxmin_test.cpp) checks all pairings on randomized instances.
 //
@@ -200,18 +195,6 @@ struct MaxMinWarmState {
   }
 };
 
-/// Warm re-solve replay policy (see the strategy overview above).
-enum class WarmMode {
-  /// Re-solve every undone settle through the cone machinery and
-  /// decline when the suffix covers most of the trace — the historical
-  /// behavior, kept for the microbench cone-vs-prefix comparison.
-  kPrefix,
-  /// Splice: commit recorded rounds outside the delta's dependency
-  /// cone straight from the trace, re-solve only the cone.  No
-  /// trace-fraction decline.  The default.
-  kCone,
-};
-
 /// Reusable Max-Min solver.  Keeps adjacency/heap/scratch storage
 /// across calls so steady-state solves are allocation-free.  Not
 /// thread-safe; use one instance per thread.
@@ -241,7 +224,9 @@ class MaxMinSolver {
   ///
   /// When `trace` is non-null the solve also records its saturation
   /// trace there, priming warm re-solves; `stable_ids[f]` then names
-  /// flow f in the trace (null = use the local index).
+  /// flow f in the trace (null = use the local index).  The CSR is
+  /// built in `flows` order, so a saturated link settles its flows in
+  /// that order.
   void solve(const std::vector<Rate>& capacity, const FlowDemandView* flows,
              std::size_t num_flows, Rate* rates,
              MaxMinWarmState* trace = nullptr,
@@ -254,8 +239,9 @@ class MaxMinSolver {
   /// `local_of[id]` maps such an id to its index in `flows`.  The
   /// fluid network hands in its live per-link membership lists, saving
   /// the two CSR passes on every contended re-solve.  (The order of a
-  /// link's list is irrelevant: every unfixed flow on a saturated link
-  /// receives the same share, so the arithmetic is order-invariant.)
+  /// link's list does not change the rates — every unfixed flow on a
+  /// saturated link receives the same share — but it is the settle
+  /// order recorded in `trace`.)
   void solve(const std::vector<Rate>& capacity, const FlowDemandView* flows,
              std::size_t num_flows, Rate* rates,
              const std::vector<std::vector<std::int32_t>>& link_flows,
@@ -271,18 +257,14 @@ class MaxMinSolver {
   /// committed from the kept schedule retain their recorded rates — to
   /// `changed`, updates `state` to the new population's trace, and
   /// returns true.  Returns false (leaving `state` untouched) when the
-  /// state is invalid, a departure is unknown, an arrival has no
-  /// links, or — in `WarmMode::kPrefix` only — the suffix covers most
-  /// of the trace; the caller must then run a traced cold solve.
+  /// state is invalid, a departure is unknown or an arrival has no
+  /// links; the caller must then run a traced cold solve.
   bool solve_warm(const std::vector<Rate>& capacity, MaxMinWarmState& state,
                   const FlowArrival* arrivals, std::size_t num_arrivals,
                   const std::int32_t* departures, std::size_t num_departures,
-                  std::vector<std::pair<std::int32_t, Rate>>& changed,
-                  WarmMode mode = WarmMode::kCone);
+                  std::vector<std::pair<std::int32_t, Rate>>& changed);
 
  private:
-  friend class BipartiteWaterfillSolver;
-
   /// External adjacency for the sharing overload; null = build CSR.
   struct ExtAdjacency {
     const std::vector<std::vector<std::int32_t>>* link_flows;
@@ -364,36 +346,6 @@ class MaxMinSolver {
   /// Cone cap min-heap (cap, work index): the sorted cap array of the
   /// cold solve, as a heap so transfers can insert mid-replay.
   std::vector<std::pair<Rate, std::int32_t>> warm_cap_heap_;
-};
-
-/// Waterfilling specialization for populations where every flow crosses
-/// exactly two links (flat clusters: src uplink + dst downlink).  Runs
-/// the same progressive filling as `MaxMinSolver` — identical rates,
-/// bit for bit — with two-entry routes unrolled into flat arrays.  See
-/// the strategy overview in the header comment.  Not thread-safe.
-class BipartiteWaterfillSolver {
- public:
-  /// Drop-in for `MaxMinSolver::solve` over views; every flow must
-  /// cross exactly two links (checked).  `trace`/`stable_ids` as in the
-  /// traced general solve.
-  void solve(const std::vector<Rate>& capacity, const FlowDemandView* flows,
-             std::size_t num_flows, Rate* rates,
-             MaxMinWarmState* trace = nullptr,
-             const std::int32_t* stable_ids = nullptr);
-
- private:
-  using LinkSlot = MaxMinSolver::LinkSlot;
-  using HeapEntry = MaxMinSolver::HeapEntry;
-
-  std::vector<LinkSlot> slots_;
-  std::vector<std::int32_t> touched_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::int32_t> flow_links_;  ///< 2 dense links per flow
-  std::vector<std::int32_t> link_off_;    ///< CSR over touched links
-  std::vector<std::int32_t> link_csr_;
-  std::vector<char> fixed_;
-  std::vector<std::pair<Rate, std::int32_t>> caps_;
-  std::vector<HeapEntry> heap_;
 };
 
 /// Convenience wrapper around a fresh `MaxMinSolver` (allocates scratch

@@ -1,7 +1,6 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ctime>
 #include <map>
 #include <memory>
@@ -18,16 +17,9 @@ namespace rats::obs {
 
 namespace {
 
-/// The process-wide enable flag.  Seeded from the legacy env-var
-/// aliases once (static init of a function-local static), flipped by
-/// set_metrics_enabled afterwards.
+/// The process-wide enable flag: off until set_metrics_enabled.
 std::atomic<bool>& enable_flag() {
-  static std::atomic<bool> enabled = [] {
-    return std::getenv("RATS_METRICS") != nullptr ||
-           std::getenv("RATS_SOLVER_STATS") != nullptr ||
-           std::getenv("RATS_REDIST_STATS") != nullptr ||
-           std::getenv("RATS_RUN_STATS") != nullptr;
-  }();
+  static std::atomic<bool> enabled{false};
   return enabled;
 }
 

@@ -73,8 +73,8 @@ class Cluster {
   /// exactly {src uplink, dst downlink}.  Flat clusters satisfy it by
   /// construction, as does a degenerate one-cabinet hierarchy; with
   /// several cabinets cross-cabinet routes add uplink hops.  This is
-  /// the platform-level invariant behind the fluid network's bipartite
-  /// waterfilling dispatch (which tests each component's routes
+  /// the platform-level invariant behind the fluid network's two-link
+  /// cold-solve dispatch (which tests each component's routes
   /// directly, so same-cabinet components qualify even when the whole
   /// platform does not); a property test checks the predicate against
   /// per-flow route inspection.

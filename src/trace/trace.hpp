@@ -52,8 +52,8 @@ const char* to_string(TraceEventKind kind);
 enum : std::int32_t {
   kSolveSingleton = 0,  ///< single-flow short-circuit
   kSolveWarm = 1,       ///< warm re-solve over the pending delta
-  kSolveBipartite = 2,  ///< cold, bipartite waterfilling fast path
-  kSolveGeneral = 3,    ///< cold, general adjacency-sharing solver
+  kSolveBipartite = 2,  ///< cold solve of a two-link component
+  kSolveGeneral = 3,    ///< cold solve of any other component
 };
 
 /// One recorded event.  `a`/`b` are ids/counts per the kind table

@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "net/fluid_network.hpp"
+#include "obs/registry.hpp"
 
 namespace rats {
 namespace {
@@ -323,8 +324,8 @@ TEST(FluidNetworkComponents, ComponentsSplitWhenTheBridgeCompletes) {
 }
 
 // ------------------------------------------------ warm-state exactness
-// The component solves dispatch among warm re-solves, the bipartite
-// fast path and the general solver; whatever the path — and across
+// The component solves dispatch among warm re-solves and cold solves
+// over two-link or general adjacency; whatever the path — and across
 // merges (bulk pending arrivals), splits (trace invalidation) and the
 // amortized re-partition of large components — every released flow's
 // rate must equal a from-scratch Max-Min solve of the whole released
@@ -355,8 +356,8 @@ void expect_rates_match_full_solve(const Cluster& c, const FluidNetwork& net,
 }
 
 TEST(FluidNetworkWarm, RandomTrafficRatesMatchFullSolveBitwise) {
-  // Flat (bipartite fast path + warm) and hierarchical (general solver
-  // + warm; cross-cabinet routes have four links) clusters.
+  // Flat (two-link cold solves + warm) and hierarchical (general cold
+  // solves + warm; cross-cabinet routes have four links) clusters.
   const std::vector<Cluster> clusters = {
       test_cluster(10),
       Cluster::hierarchical("h-test", 3, 4, 1e9, 100e-6, 125e6, 100e-6,
@@ -402,6 +403,97 @@ TEST(FluidNetworkWarm, RandomTrafficRatesMatchFullSolveBitwise) {
     }
     for (FlowId f : flows) EXPECT_TRUE(net.flow_done(f));
   }
+}
+
+// ------------------------------------------------- cold-solve dispatch
+// A cold solve is tagged by route shape: a component whose members all
+// cross exactly two links records `kSolveBipartite`, any other
+// component `kSolveGeneral`.  The trace tags and the `net/solve/*`
+// counters must agree one to one.
+
+struct DispatchTally {
+  std::map<int, std::uint64_t> traced;   ///< SolveComponent records per tag
+  std::map<int, std::uint64_t> counted;  ///< `net/solve/*` counter deltas
+  std::set<std::size_t> route_lengths;   ///< links per opened flow
+};
+
+/// Staggered random traffic between the node pairs `pick` returns
+/// (arrivals, merges, departures and splits), traced and counted.
+DispatchTally tally_dispatch(
+    const Cluster& c,
+    const std::function<std::pair<int, int>(std::uint32_t, std::uint32_t)>&
+        pick) {
+  const char* const names[] = {"net/solve/singleton", "net/solve/warm",
+                               "net/solve/bipartite", "net/solve/general"};
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  std::uint64_t before[4];
+  for (int tag = 0; tag < 4; ++tag)
+    before[tag] = obs::counter(names[tag]).value();
+
+  TraceSink sink;
+  FluidNetwork net(c);
+  net.set_trace(&sink);
+  std::uint64_t state = 0xD15Au;
+  const auto next_u32 = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  DispatchTally tally;
+  Seconds t = 0;
+  for (int i = 0; i < 60; ++i) {
+    const std::uint32_t r1 = next_u32();
+    const auto [src, dst] = pick(r1, next_u32());
+    const FlowId id = net.open_flow(src, dst, 1e6 * (1 + next_u32() % 200));
+    tally.route_lengths.insert(net.flow_route(id).size());
+    t += 0.002 * (1 + next_u32() % 10);
+    net.advance_to(t);
+  }
+  while (net.active_flows() > 0) net.advance_to(t += 0.05);
+
+  for (int tag = 0; tag < 4; ++tag)
+    tally.counted[tag] = obs::counter(names[tag]).value() - before[tag];
+  obs::set_metrics_enabled(was_enabled);
+  for (const TraceEvent& ev : sink.events())
+    if (ev.kind == TraceEventKind::SolveComponent)
+      ++tally.traced[static_cast<int>(ev.value)];
+  return tally;
+}
+
+TEST(FluidNetworkDispatch, FlatClusterColdSolvesAreTwoLink) {
+  const Cluster c = test_cluster(8);
+  DispatchTally tally =
+      tally_dispatch(c, [](std::uint32_t a, std::uint32_t b) {
+        const int src = static_cast<int>(a % 8);
+        const int dst = (src + 1 + static_cast<int>(b % 7)) % 8;
+        return std::pair<int, int>(src, dst);
+      });
+  EXPECT_EQ(tally.route_lengths, std::set<std::size_t>{2});
+  EXPECT_GT(tally.traced[kSolveBipartite], 0u);
+  EXPECT_GT(tally.traced[kSolveWarm], 0u);
+  EXPECT_EQ(tally.traced[kSolveGeneral], 0u);
+  for (int tag = 0; tag < 4; ++tag)
+    EXPECT_EQ(tally.traced[tag], tally.counted[tag]) << "strategy " << tag;
+}
+
+TEST(FluidNetworkDispatch, CrossCabinetColdSolvesAreGeneral) {
+  // Three cabinets of four nodes; every flow leaves its cabinet, so
+  // every route crosses four links (two NICs, two cabinet uplinks).
+  const Cluster c = Cluster::hierarchical("h-test", 3, 4, 1e9, 100e-6,
+                                          125e6, 100e-6, 250e6);
+  DispatchTally tally =
+      tally_dispatch(c, [](std::uint32_t a, std::uint32_t b) {
+        const int src = static_cast<int>(a % 12);
+        const int cabinet = (src / 4 + 1 + static_cast<int>(b % 2)) % 3;
+        const int dst = 4 * cabinet + static_cast<int>(b / 2 % 4);
+        return std::pair<int, int>(src, dst);
+      });
+  EXPECT_EQ(tally.route_lengths, std::set<std::size_t>{4});
+  EXPECT_GT(tally.traced[kSolveGeneral], 0u);
+  EXPECT_GT(tally.traced[kSolveWarm], 0u);
+  EXPECT_EQ(tally.traced[kSolveBipartite], 0u);
+  for (int tag = 0; tag < 4; ++tag)
+    EXPECT_EQ(tally.traced[tag], tally.counted[tag]) << "strategy " << tag;
 }
 
 // ------------------------------------------- capacity-update exactness

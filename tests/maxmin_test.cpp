@@ -351,61 +351,15 @@ TEST(MaxMinDifferential, ComponentScopedSolvesMatchFullSolve) {
   }
 }
 
-// ------------------------------------------------- bipartite fast path
-// The two-link waterfilling specialization must reproduce the general
-// solver bit for bit on any population where every flow crosses exactly
-// two links (flat-cluster traffic, but also arbitrary two-link routes).
-
-TEST(MaxMinDifferential, BipartiteMatchesGeneralBitwise) {
-  Rng rng(0xB1Fu);
-  MaxMinSolver general;
-  BipartiteWaterfillSolver bipartite;
-  for (int instance = 0; instance < 200; ++instance) {
-    const int num_links = static_cast<int>(rng.uniform_int(2, 64));
-    const int num_flows = static_cast<int>(rng.uniform_int(1, 150));
-    std::vector<Rate> capacity;
-    for (int l = 0; l < num_links; ++l)
-      capacity.push_back(rng.bernoulli(0.4) ? 125e6 : rng.uniform(1e6, 5e8));
-
-    std::vector<FlowDemand> flows;
-    for (int f = 0; f < num_flows; ++f) {
-      FlowDemand d;
-      const auto a =
-          static_cast<std::int32_t>(rng.uniform_int(0, num_links - 1));
-      auto b = static_cast<std::int32_t>(rng.uniform_int(0, num_links - 1));
-      if (b == a) b = (b + 1) % num_links;
-      d.links = {a, b};
-      // Mix unbindable caps (above any capacity) with binding ones so
-      // both the cap-skip and the cap-fixing paths are exercised.
-      if (rng.bernoulli(0.3))
-        d.cap = rng.bernoulli(0.5) ? rng.uniform(6e8, 1e9)
-                                   : rng.uniform(1e5, 3e8);
-      flows.push_back(std::move(d));
-    }
-    std::vector<FlowDemandView> views;
-    for (const auto& d : flows)
-      views.push_back(FlowDemandView{
-          d.links.data(), static_cast<std::int32_t>(d.links.size()), d.cap});
-
-    std::vector<Rate> expected(flows.size()), actual(flows.size());
-    general.solve(capacity, views.data(), views.size(), expected.data());
-    bipartite.solve(capacity, views.data(), views.size(), actual.data());
-    for (std::size_t f = 0; f < flows.size(); ++f)
-      EXPECT_EQ(actual[f], expected[f])
-          << "instance " << instance << " flow " << f;
-  }
-}
-
 // ----------------------------------------------------- warm re-solves
 // A traced solve plus solve_warm over a small population delta must
 // reproduce a from-scratch solve of the new population bit for bit —
-// whichever solver (general or bipartite) recorded the trace.
+// on general routes and on two-link-only (flat-cluster) populations.
 
 TEST(MaxMinDifferential, WarmResolveMatchesColdBitwise) {
   Rng rng(0x3A4Du);
   MaxMinSolver warm_solver;
   MaxMinSolver cold_solver;
-  BipartiteWaterfillSolver bipartite;
   int warm_successes = 0;
   for (int instance = 0; instance < 200; ++instance) {
     const bool two_link_only = rng.bernoulli(0.5);
@@ -456,12 +410,8 @@ TEST(MaxMinDifferential, WarmResolveMatchesColdBitwise) {
     {
       auto views = make_views(flows);
       std::vector<Rate> rates(flows.size());
-      if (two_link_only)
-        bipartite.solve(capacity, views.data(), views.size(), rates.data(),
+      warm_solver.solve(capacity, views.data(), views.size(), rates.data(),
                         &state, ids.data());
-      else
-        warm_solver.solve(capacity, views.data(), views.size(), rates.data(),
-                          &state, ids.data());
       for (std::size_t f = 0; f < flows.size(); ++f)
         rate_of[ids[f]] = rates[f];
     }
@@ -528,7 +478,7 @@ TEST(MaxMinDifferential, WarmResolveMatchesColdBitwise) {
       for (std::size_t f = 0; f < flows.size(); ++f)
         EXPECT_EQ(rate_of[ids[f]], expected[f])
             << "instance " << instance << " event " << event << " flow id "
-            << ids[f] << (two_link_only ? " (bipartite trace)" : "");
+            << ids[f] << (two_link_only ? " (two-link)" : "");
     }
   }
   // The point of the test is the warm path: a solid share of the
@@ -539,16 +489,15 @@ TEST(MaxMinDifferential, WarmResolveMatchesColdBitwise) {
 
 // ------------------------------------------------- deep-cone deltas
 // Deltas whose divergence round is at (or near) the very start of the
-// recorded trace: the historical prefix policy must undo essentially
-// the whole trace and hits its decline cap, while the cone policy
+// recorded trace: the warm re-solve undoes essentially the whole trace,
 // splices the rounds outside the delta's dependency cone straight from
-// the record and must still match a cold solve bit for bit.
+// the record, and must still match a cold solve bit for bit.
 
 TEST(MaxMinDifferential, ConeSurvivesEarlyFixedDeparture) {
   MaxMinSolver solver;
   MaxMinSolver cold_solver;
   // Link 0 is a tiny dedicated bottleneck: its flow fixes in round 0,
-  // so departing it diverges every later round under the prefix undo.
+  // so departing it undoes every later round.
   std::vector<Rate> capacity{1.0};
   std::vector<FlowDemand> flows{flow({0})};
   for (std::int32_t l = 1; l <= 20; ++l) {
@@ -563,19 +512,15 @@ TEST(MaxMinDifferential, ConeSurvivesEarlyFixedDeparture) {
   for (const auto& d : flows)
     views.push_back(FlowDemandView{
         d.links.data(), static_cast<std::int32_t>(d.links.size()), d.cap});
-  MaxMinWarmState prefix_state;
+  MaxMinWarmState state;
   std::vector<Rate> rates(flows.size());
-  solver.solve(capacity, views.data(), views.size(), rates.data(),
-               &prefix_state, ids.data());
-  MaxMinWarmState cone_state = prefix_state;
+  solver.solve(capacity, views.data(), views.size(), rates.data(), &state,
+               ids.data());
 
   const std::int32_t departing = 0;
   std::vector<std::pair<std::int32_t, Rate>> changed;
-  EXPECT_FALSE(solver.solve_warm(capacity, prefix_state, nullptr, 0,
-                                 &departing, 1, changed, WarmMode::kPrefix));
-  changed.clear();
-  ASSERT_TRUE(solver.solve_warm(capacity, cone_state, nullptr, 0, &departing,
-                                1, changed, WarmMode::kCone));
+  ASSERT_TRUE(solver.solve_warm(capacity, state, nullptr, 0, &departing, 1,
+                                changed));
 
   std::map<std::int32_t, Rate> rate_of;
   for (std::size_t f = 1; f < flows.size(); ++f) rate_of[ids[f]] = rates[f];
@@ -589,7 +534,7 @@ TEST(MaxMinDifferential, ConeSurvivesEarlyFixedDeparture) {
 
 // Randomized deep-cone battery: every instance plants an early-fixed
 // flow on a private tiny link, loads half the population with binding
-// caps (whose early cap rounds used to cascade the prefix undo), and
+// caps (whose early cap rounds cascade deep into the trace), and
 // replays merge-then-depart sequences — an arrival bridging two link
 // groups, departed again two events later.  The cone policy must take
 // every delta (it has no trace-fraction decline) and reproduce a cold
@@ -689,7 +634,7 @@ TEST(MaxMinDifferential, ConeDeepCascadesMatchColdBitwise) {
       changed.clear();
       ASSERT_TRUE(warm_solver.solve_warm(
           capacity, state, arrivals.data(), arrivals.size(), deps.data(),
-          deps.size(), changed, WarmMode::kCone))
+          deps.size(), changed))
           << "instance " << instance << " event " << event;
       for (std::size_t a = 0; a < arriving.size(); ++a) {
         flows.push_back(std::move(arriving[a]));

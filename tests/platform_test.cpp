@@ -146,8 +146,8 @@ TEST(Grid5000, AllReturnsThreeClusters) {
   EXPECT_EQ(clusters[2].name(), "grelon");
 }
 
-// Property: the flat-topology predicate (`flat_routes`, the bipartite
-// waterfilling dispatch condition) must agree with per-flow route
+// Property: the flat-topology predicate (`flat_routes`, the two-link
+// cold-solve dispatch condition) must agree with per-flow route
 // inspection — every src != dst route is exactly {src uplink, dst
 // downlink} — on randomly shaped platforms.
 TEST(Cluster, FlatRoutesPredicateMatchesRouteInspection) {

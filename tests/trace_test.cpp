@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "daggen/kernels.hpp"
+#include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -459,6 +460,42 @@ TEST(TraceReplayTest, RejectsNonTraces) {
 TEST(TraceReplayTest, UntraceableKindsRefuse) {
   auto spec = scenario::default_spec("table4");
   EXPECT_THROW(scenario::render_trace(spec, 1), Error);
+}
+
+// ---- golden trace bytes ------------------------------------------------
+// The full rendered traces of two checked-in scenarios, pinned by size
+// and FNV-1a 64 digest.  Rates are pinned elsewhere; these also pin the
+// order in which each solve settles its flows (the `{"r":…}` records),
+// which no rate comparison sees.
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(TraceGoldenTest, CheckedInScenarioTracesArePinned) {
+  struct Golden {
+    const char* file;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"fig2_quick.rats", 154387, 0x55d5a54996d3fd04ull},
+      {"hier_quick.rats", 1946827, 0x46c2933bdd4c06ceull},
+  };
+  for (const Golden& g : goldens) {
+    const auto spec = scenario::load_scenario(std::string(RATS_SOURCE_DIR) +
+                                              "/scenarios/" + g.file);
+    for (const unsigned threads : {1u, 4u}) {
+      const std::string text = scenario::render_trace(spec, threads);
+      EXPECT_EQ(text.size(), g.bytes) << g.file << " threads " << threads;
+      EXPECT_EQ(fnv1a64(text), g.digest) << g.file << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace
