@@ -1,6 +1,6 @@
-// Shared support for the table/figure reproduction binaries.
+// Shared support for the ablation benches.
 //
-// Every bench accepts the same command line:
+// Every ablation accepts the same command line:
 //   --full              use the paper's full 557-configuration corpus
 //   --samples-random N  samples per random-DAG parameter combination
 //   --samples-kernel N  samples per FFT size / Strassen
@@ -8,10 +8,10 @@
 //   --csv               also emit machine-readable CSV after each table
 //   --threads N         worker threads (0 = hardware concurrency)
 //
-// The corpus/algorithm/report machinery itself lives in the library
-// (src/exp/presets.hpp) so the scenario engine (`rats run
-// scenarios/fig2.rats`) executes the exact same code; this header only
-// keeps the command-line front end plus thin aliases for the benches.
+// The corpus/algorithm machinery itself lives in the library
+// (src/exp/presets.hpp); this header only keeps the command-line front
+// end plus thin printing aliases.  The paper's figures and tables are
+// reproduced by `rats run scenarios/<kind>.rats`.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include "exp/experiment.hpp"
 #include "exp/presets.hpp"
 #include "platform/grid5000.hpp"
-#include "scenario/registry.hpp"
 #include "sched/scheduler.hpp"
 
 namespace rats::bench {
@@ -39,17 +38,10 @@ BenchConfig parse_args(int argc, char** argv);
 
 // Thin aliases over the library presets (see src/exp/presets.hpp).
 // The presets capture their announcement lines into strings (report
-// models need them as data); the bench front ends still print them.
+// models need them as data); the ablations print them.
 inline std::vector<CorpusEntry> make_corpus(const BenchConfig& cfg) {
   std::string announce;
   auto corpus = presets::make_corpus(cfg.corpus, &announce);
-  std::fputs(announce.c_str(), stdout);
-  return corpus;
-}
-inline std::vector<CorpusEntry> make_family(DagFamily family,
-                                            const BenchConfig& cfg) {
-  std::string announce;
-  auto corpus = presets::make_family(family, cfg.corpus, &announce);
   std::fputs(announce.c_str(), stdout);
   return corpus;
 }
@@ -62,41 +54,6 @@ inline std::vector<CorpusEntry> cap_per_family(std::vector<CorpusEntry> corpus,
   return capped;
 }
 inline std::vector<AlgoSpec> naive_algos() { return presets::naive_algos(); }
-inline RatsParams paper_tuned_params(DagFamily family,
-                                     const std::string& cluster) {
-  return presets::paper_tuned_params(family, cluster);
-}
-inline std::vector<AlgoSpec> tuned_algos(DagFamily family,
-                                         const std::string& cluster) {
-  return presets::tuned_algos(family, cluster);
-}
-inline ExperimentData run_tuned_experiment(
-    const std::vector<CorpusEntry>& corpus, const Cluster& cluster,
-    unsigned threads = 0) {
-  return presets::run_tuned_experiment(corpus, cluster, threads);
-}
-inline std::vector<ExperimentData> run_tuned_experiments(
-    const std::vector<CorpusEntry>& corpus,
-    const std::vector<Cluster>& clusters, unsigned threads = 0) {
-  return presets::run_tuned_experiments(corpus, clusters, threads);
-}
 inline void heading(const std::string& title) { presets::heading(title); }
-inline void print_sorted_curve(const std::string& label,
-                               const std::vector<double>& series) {
-  presets::print_sorted_curve(label, series);
-}
-
-/// Runs a fig/table scenario kind with the bench command line layered
-/// over its default spec — the same execution `rats run
-/// scenarios/<kind>.rats` performs, so binary and scenario output stay
-/// byte-identical by construction.
-inline int run_kind(const char* kind, const BenchConfig& cfg) {
-  auto spec = scenario::default_spec(kind);
-  spec.workload.corpus = cfg.corpus;
-  spec.output.csv = cfg.csv;
-  spec.threads = cfg.threads;
-  scenario::run(spec);
-  return 0;
-}
 
 }  // namespace rats::bench

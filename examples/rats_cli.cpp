@@ -11,7 +11,6 @@
 //             [--regress-dir DIR] [--index I] [--emit] [--no-minimize]
 //   rats serve --socket PATH [--workers N] [--queue N] [...]
 //   rats submit <scenario.rats> --socket PATH [--out FILE] [...]
-//   rats sched [legacy options]      (the original one-shot scheduler CLI)
 //
 // `run` executes a declarative scenario file (grammar in
 // src/scenario/parser.hpp; cookbook in README.md).  `--trace` writes a
@@ -19,40 +18,29 @@
 // and byte-diffs — a whole-stack determinism check.  `emit` prints the
 // canonical form of a scenario file (or of a registry kind's default
 // spec, which is how the checked-in scenarios/*.rats were generated).
-//
-// The old direct scheduling interface survives as the `sched`
-// subcommand (also used by examples/docs):
-//   rats sched --generate fft:8 --platform flat:64:3.0 --algo delta \
-//              --mindelta -0.5 --maxdelta 1 --dot fft.dot
+// The paper's figures and tables are `rats run scenarios/<kind>.rats`;
+// one workflow on one platform is a `kind = "single"` spec (a
+// `source = "generate"` or `"file"` workload and a custom [platform]),
+// which prints the per-task timeline.
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "common/error.hpp"
 #include "fuzz/driver.hpp"
-#include "common/rng.hpp"
-#include "daggen/kernels.hpp"
-#include "daggen/random_dag.hpp"
-#include "exp/autotune.hpp"
-#include "io/workflow_io.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "platform/grid5000.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
-#include "sched/scheduler.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
-#include "sim/simulator.hpp"
 #include "trace/replay.hpp"
 
 using namespace rats;
@@ -117,75 +105,14 @@ namespace {
       "      --progress          stderr status while waiting\n"
       "      --crash-test        fault hook: first shard kills its worker\n"
       "  submit --stats          print the daemon's stats JSON\n"
-      "  submit --shutdown       stop the daemon\n"
-      "  sched [options]         one-shot scheduling (rats sched --help)\n");
+      "  submit --shutdown       stop the daemon\n");
   std::exit(code);
-}
-
-[[noreturn]] void sched_usage(int code) {
-  std::printf(
-      "usage: rats sched [options]\n"
-      "  --dag FILE            workflow file (see src/io/workflow_io.hpp)\n"
-      "  --generate SPEC       fft:<k> | strassen | layered:<n> | irregular:<n>\n"
-      "  --platform P          chti | grillon | grelon | flat:<nodes>:<gflops>\n"
-      "  --algo A              cpa | mcpa | hcpa | delta | time-cost |\n"
-      "                        auto-delta | auto-time-cost\n"
-      "  --mindelta X --maxdelta X --minrho X --no-packing   RATS knobs\n"
-      "  --seed S              generator seed (default 42)\n"
-      "  --no-contention       simulate without link contention\n"
-      "  --dot FILE            write the DAG as Graphviz DOT\n"
-      "  --save FILE           write the workflow back as text\n");
-  std::exit(code);
-}
-
-DagFamily family_of(const std::string& spec) {
-  if (spec.rfind("fft", 0) == 0) return DagFamily::FFT;
-  if (spec.rfind("strassen", 0) == 0) return DagFamily::Strassen;
-  if (spec.rfind("layered", 0) == 0) return DagFamily::Layered;
-  return DagFamily::Irregular;
-}
-
-TaskGraph generate(const std::string& spec, std::uint64_t seed) {
-  Rng rng(seed);
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const int arg = colon == std::string::npos
-                      ? 0
-                      : std::atoi(spec.c_str() + colon + 1);
-  if (kind == "fft") return generate_fft_dag(arg > 0 ? arg : 8, rng);
-  if (kind == "strassen") return generate_strassen_dag(rng);
-  RandomDagParams params;
-  params.num_tasks = arg > 0 ? arg : 50;
-  params.width = 0.5;
-  params.density = 0.8;
-  params.regularity = 0.5;
-  if (kind == "layered") return generate_layered_dag(params, rng);
-  if (kind == "irregular") {
-    params.jump = 2;
-    return generate_irregular_dag(params, rng);
-  }
-  throw Error("unknown generator '" + spec + "'");
-}
-
-Cluster platform_of(const std::string& spec) {
-  if (spec == "chti") return grid5000::chti();
-  if (spec == "grillon") return grid5000::grillon();
-  if (spec == "grelon") return grid5000::grelon();
-  if (spec.rfind("flat:", 0) == 0) {
-    int nodes = 0;
-    double gflops = 0;
-    if (std::sscanf(spec.c_str(), "flat:%d:%lf", &nodes, &gflops) == 2 &&
-        nodes > 0 && gflops > 0)
-      return Cluster::flat("flat" + std::to_string(nodes), nodes,
-                           gflops * Giga, 100e-6, kGigabitPerSecond);
-  }
-  throw Error("unknown platform '" + spec + "'");
 }
 
 unsigned parse_threads(const char* text) {
   char* end = nullptr;
   const long v = std::strtol(text, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0) usage(2);
+  if (end == nullptr || *end != '\0' || !scenario::valid_threads(v)) usage(2);
   return static_cast<unsigned>(v);
 }
 
@@ -469,106 +396,6 @@ int cmd_submit(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sched(int argc, char** argv) {
-  std::string dag_file, gen_spec, platform = "grillon", algo = "time-cost";
-  std::string dot_file, save_file;
-  std::uint64_t seed = 42;
-  SchedulerOptions options;
-  SimulatorOptions sim_options;
-  std::optional<double> mindelta, maxdelta, minrho;
-  bool packing = true;
-
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) sched_usage(2);
-      return argv[++i];
-    };
-    if (a == "--dag") dag_file = next();
-    else if (a == "--generate") gen_spec = next();
-    else if (a == "--platform") platform = next();
-    else if (a == "--algo") algo = next();
-    else if (a == "--mindelta") mindelta = std::atof(next());
-    else if (a == "--maxdelta") maxdelta = std::atof(next());
-    else if (a == "--minrho") minrho = std::atof(next());
-    else if (a == "--no-packing") packing = false;
-    else if (a == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--no-contention") sim_options.contention = false;
-    else if (a == "--dot") dot_file = next();
-    else if (a == "--save") save_file = next();
-    else if (a == "--help" || a == "-h") sched_usage(0);
-    else sched_usage(2);
-  }
-  if (dag_file.empty() == gen_spec.empty()) {
-    std::fprintf(stderr, "need exactly one of --dag or --generate\n");
-    sched_usage(2);
-  }
-
-  const TaskGraph graph =
-      dag_file.empty() ? generate(gen_spec, seed) : load_workflow(dag_file);
-  const Cluster cluster = platform_of(platform);
-
-  if (algo == "cpa") options.kind = SchedulerKind::Cpa;
-  else if (algo == "mcpa") options.kind = SchedulerKind::Mcpa;
-  else if (algo == "hcpa") options.kind = SchedulerKind::Hcpa;
-  else if (algo == "delta") options.kind = SchedulerKind::RatsDelta;
-  else if (algo == "time-cost") options.kind = SchedulerKind::RatsTimeCost;
-  else if (algo == "auto-delta" || algo == "auto-time-cost") {
-    const SchedulerKind kind = algo == "auto-delta"
-                                   ? SchedulerKind::RatsDelta
-                                   : SchedulerKind::RatsTimeCost;
-    AutoTuner tuner;
-    const DagFamily family =
-        gen_spec.empty() ? DagFamily::Irregular : family_of(gen_spec);
-    std::printf("auto-tuning %s for %s on %s...\n", algo.c_str(),
-                to_string(family).c_str(), cluster.name().c_str());
-    options = tuner.options(kind, family, cluster);
-    const auto& t = tuner.tuned(family, cluster);
-    std::printf("  tuned: mindelta=%.2f maxdelta=%.2f minrho=%.2f\n",
-                t.mindelta, t.maxdelta, t.minrho);
-  } else {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algo.c_str());
-    sched_usage(2);
-  }
-  if (mindelta) options.rats.mindelta = *mindelta;
-  if (maxdelta) options.rats.maxdelta = *maxdelta;
-  if (minrho) options.rats.minrho = *minrho;
-  options.rats.packing = packing;
-
-  std::printf("workflow: %d tasks, %d edges; platform %s (%d nodes)\n",
-              graph.num_tasks(), graph.num_edges(), cluster.name().c_str(),
-              cluster.num_nodes());
-
-  const Schedule schedule = build_schedule(graph, cluster, options);
-  const SimulationResult result =
-      simulate(graph, schedule, cluster, sim_options);
-
-  std::printf("\n%s: makespan %.2f s (mapper estimate %.2f s), work %.1f "
-              "proc*s, network %.1f MiB\n\n",
-              to_string(options.kind).c_str(), result.makespan,
-              schedule.estimated_makespan(), result.total_work,
-              result.network_bytes / MiB);
-  std::printf("%-20s %5s %9s %9s %9s\n", "task", "procs", "ready", "start",
-              "finish");
-  for (TaskId t = 0; t < graph.num_tasks(); ++t) {
-    const auto& tl = result.timeline[static_cast<std::size_t>(t)];
-    std::printf("%-20s %5zu %9.2f %9.2f %9.2f\n",
-                graph.task(t).name.c_str(), schedule.of(t).procs.size(),
-                tl.data_ready, tl.start, tl.finish);
-  }
-
-  if (!dot_file.empty()) {
-    std::ofstream out(dot_file);
-    out << graph.to_dot();
-    std::printf("\nwrote DOT to %s\n", dot_file.c_str());
-  }
-  if (!save_file.empty()) {
-    save_workflow(graph, save_file);
-    std::printf("wrote workflow to %s\n", save_file.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -579,12 +406,9 @@ int main(int argc, char** argv) try {
   if (command == "emit") return cmd_emit(argc - 2, argv + 2);
   if (command == "kinds") return cmd_kinds();
   if (command == "fuzz") return cmd_fuzz(argc - 2, argv + 2);
-  if (command == "sched") return cmd_sched(argc - 2, argv + 2);
   if (command == "serve") return cmd_serve(argc - 2, argv + 2);
   if (command == "submit") return cmd_submit(argc - 2, argv + 2);
   if (command == "--help" || command == "-h") usage(0);
-  // Backwards compatibility: the pre-subcommand CLI started with "--".
-  if (command.rfind("--", 0) == 0) return cmd_sched(argc - 1, argv + 1);
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   usage(2);
 } catch (const std::exception& e) {

@@ -1,12 +1,8 @@
-// Paper-experiment presets shared by the bench binaries and the
-// scenario engine: corpus construction (with the benches' stdout
-// announcements), the naive/tuned algorithm sets of the paper's main
-// comparison, tuned multi-cluster batch execution, and the small
-// report helpers (headings, sorted percentile curves).
-//
-// Everything here used to live in bench/bench_common.*; it moved into
-// the library so `rats run scenarios/fig2.rats` and the fig2 binary
-// execute — and print — the exact same code path.
+// Paper-experiment presets used by the scenario engine (the fig/table
+// kinds of `rats run scenarios/<kind>.rats`) and the ablation benches:
+// corpus construction (with its "corpus: ..." announcement lines), the
+// naive/tuned algorithm sets of the paper's main comparison, tuned
+// multi-cluster batch execution, and a heading printer.
 #pragma once
 
 #include <cstdint>
@@ -98,10 +94,5 @@ std::vector<ExperimentData> run_tuned_experiments(
 
 /// Prints a heading followed by an underline.
 void heading(const std::string& title);
-
-/// Renders a 21-point sorted percentile curve as an ASCII sparkline
-/// table row set ("x%  ratio").
-void print_sorted_curve(const std::string& label,
-                        const std::vector<double>& series);
 
 }  // namespace rats::presets

@@ -6,11 +6,10 @@
 // notes) instead of printing; renderers (report/render.hpp) turn one
 // model into the different output formats:
 //
-//   render_text  the paper-style stdout report.  Byte-identical to the
-//                output the pre-pipeline bench binaries printed — every
-//                formatted fragment is captured at build time, so
-//                rendering is pure concatenation (the property the
-//                golden-kinds suite pins for all registry kinds).
+//   render_text  the paper-style stdout report.  Every formatted
+//                fragment is captured at build time, so rendering is
+//                pure concatenation (the bytes the golden-kinds suite
+//                pins for all registry kinds).
 //   render_csv   machine-readable tables/series/scalars for plotting.
 //   render_json  the full model as one JSON document.
 //

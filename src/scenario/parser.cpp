@@ -305,7 +305,9 @@ void bind_scenario(const Binder& b, const Section& s, ScenarioSpec& spec) {
     else if (kv.key == "kind") spec.kind = b.string(kv);
     else if (kv.key == "threads") {
       const long long v = b.integer(kv);
-      if (v < 0) fail(b.file(), kv.line, "'threads' must be >= 0");
+      if (!valid_threads(v))
+        fail(b.file(), kv.line,
+             "'threads' must be in [0, " + std::to_string(kMaxThreads) + "]");
       spec.threads = static_cast<unsigned>(v);
     } else b.unknown_key(s, kv);
   }

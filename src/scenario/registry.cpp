@@ -99,7 +99,7 @@ class OffsetSession final : public RunSession {
   std::size_t offset_;
 };
 
-// ---- shared report fragments (byte-compatible with the benches) --------
+// ---- shared report fragments (pinned by the kind goldens) --------------
 
 /// Figures 2 and 6: sorted curves followed by the relative-makespan
 /// summary table.
@@ -161,30 +161,47 @@ ExperimentData run_matrix_experiment(const ScenarioSpec& spec,
                         spec.threads, session, events.base_sim);
 }
 
-void run_fig2(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 2: relative makespan vs HCPA, naive parameters, " +
-                cluster.name());
-  makespan_report(data, model);
-  model.text(
-      "\n  paper: delta ~9% shorter on average, better in 72% of "
-      "scenarios;\n         time-cost ~16% shorter, better in 80%.\n");
-}
+/// Figures 2, 3, 6 and 7: corpus x algorithms on one cluster, reported
+/// as sorted curves plus a relative-makespan or relative-work summary.
+/// The four differ only in this row.
+struct FigureKind {
+  const char* kind;
+  const char* heading;  ///< the cluster name is appended
+  void (*report)(const ExperimentData&, ReportModel&);
+  const char* paper;    ///< the paper's finding, printed last
+};
 
-void run_fig3(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
+constexpr FigureKind kFigures[] = {
+    {"fig2", "Figure 2: relative makespan vs HCPA, naive parameters, ",
+     makespan_report,
+     "\n  paper: delta ~9% shorter on average, better in 72% of "
+     "scenarios;\n         time-cost ~16% shorter, better in 80%.\n"},
+    {"fig3", "Figure 3: relative work vs HCPA, naive parameters, ",
+     work_report,
+     "\n  paper: both strategies stay close to HCPA's resource usage;\n"
+     "         delta consumes less than time-cost.\n"},
+    {"fig6", "Figure 6: relative makespan vs HCPA, tuned parameters, ",
+     makespan_report,
+     "\n  paper: tuned delta ~13% shorter than HCPA on grillon (9% "
+     "naive);\n         time-cost improves only slightly over naive.\n"},
+    {"fig7", "Figure 7: relative work vs HCPA, tuned parameters, ",
+     work_report,
+     "\n  paper: tuned RATS stays close to (mostly below) HCPA's resource "
+     "usage.\n"},
+};
+
+void run_figure(const ScenarioSpec& spec, ReportModel& model,
+                RunSession* session) {
+  const FigureKind* fig = std::find_if(
+      std::begin(kFigures), std::end(kFigures),
+      [&](const FigureKind& f) { return spec.kind == f.kind; });
+  RATS_REQUIRE(fig != std::end(kFigures), "not a figure kind: " + spec.kind);
   auto corpus = resolve_workload(spec, model);
   Cluster cluster = spec.platform.resolve_one();
   auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 3: relative work vs HCPA, naive parameters, " +
-                cluster.name());
-  work_report(data, model);
-  model.text(
-      "\n  paper: both strategies stay close to HCPA's resource usage;\n"
-      "         delta consumes less than time-cost.\n");
+  model.heading(fig->heading + cluster.name());
+  fig->report(data, model);
+  model.text(fig->paper);
 }
 
 void run_fig4(const ScenarioSpec& spec, ReportModel& model,
@@ -246,32 +263,6 @@ void run_fig5(const ScenarioSpec& spec, ReportModel& model,
   model.text(
       "  paper: packing gives better performance at every minrho; the\n"
       "  curve flattens beyond a threshold (0.5 on grillon).\n");
-}
-
-void run_fig6(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 6: relative makespan vs HCPA, tuned parameters, " +
-                cluster.name());
-  makespan_report(data, model);
-  model.text(
-      "\n  paper: tuned delta ~13% shorter than HCPA on grillon (9% "
-      "naive);\n         time-cost improves only slightly over naive.\n");
-}
-
-void run_fig7(const ScenarioSpec& spec, ReportModel& model,
-              RunSession* session) {
-  auto corpus = resolve_workload(spec, model);
-  Cluster cluster = spec.platform.resolve_one();
-  auto data = run_matrix_experiment(spec, corpus, cluster, session);
-  model.heading("Figure 7: relative work vs HCPA, tuned parameters, " +
-                cluster.name());
-  work_report(data, model);
-  model.text(
-      "\n  paper: tuned RATS stays close to (mostly below) HCPA's resource "
-      "usage.\n");
 }
 
 /// The generic sweep kind: a grid over any RatsParams fields, applied
@@ -956,12 +947,12 @@ struct KindEntry {
 };
 
 constexpr KindEntry kKinds[] = {
-    {"fig2", run_fig2, true, true},
-    {"fig3", run_fig3, true, true},
+    {"fig2", run_figure, true, true},
+    {"fig3", run_figure, true, true},
     {"fig4", run_fig4, true, true},
     {"fig5", run_fig5, true, true},
-    {"fig6", run_fig6, true, true},
-    {"fig7", run_fig7, true, true},
+    {"fig6", run_figure, true, true},
+    {"fig7", run_figure, true, true},
     {"table1", run_table1, false, false},
     {"table2", run_table2, false, false},
     {"table3", run_table3, false, false},
@@ -1069,9 +1060,11 @@ void fill_metrics(ReportModel& model, const obs::Snapshot& before) {
 
 /// The canonical scenario text embedded in trace headers: artefact
 /// paths are execution details (like `threads`), so the trace bytes do
-/// not depend on where reports or the trace itself are written.
+/// not depend on where reports or the trace itself are written.  `csv`
+/// only changes how the text report renders, so it is cleared too.
 std::string canonical_spec_text(const ScenarioSpec& spec) {
   ScenarioSpec canonical = spec;
+  canonical.output.csv = false;
   canonical.output.report_csv.clear();
   canonical.output.report_json.clear();
   canonical.output.trace.clear();
@@ -1090,6 +1083,30 @@ ReportModel build_with(const KindEntry& entry, const ScenarioSpec& spec,
   model.name = spec.name;
   model.kind = spec.kind;
   entry.fn(spec, model, session);
+  return model;
+}
+
+/// The one build path: executes the kind once and returns its report,
+/// with a TraceWriter streaming the runs into `trace` when given and
+/// the --progress heartbeat when `progress`.  The metrics section is
+/// filled from the stable counters this build moved.
+ReportModel build_once(const KindEntry& entry, const ScenarioSpec& spec,
+                       std::ostream* trace, bool progress) {
+  const obs::Snapshot before =
+      obs::metrics_enabled() ? obs::snapshot() : obs::Snapshot{};
+  std::optional<TraceWriter> writer;
+  std::optional<TraceSession> tracing;
+  if (trace != nullptr) {
+    writer.emplace(*trace, spec.name, spec.kind, canonical_spec_text(spec));
+    tracing.emplace(*writer);
+  }
+  RunSession* session = tracing ? &*tracing : nullptr;
+  std::optional<ProgressSession> heartbeat;
+  if (progress) session = &heartbeat.emplace(session);
+  ReportModel model = build_with(entry, spec, session);
+  if (writer) writer->finish();
+  heartbeat.reset();  // close the heartbeat line before any rendering
+  if (obs::metrics_enabled()) fill_metrics(model, before);
   return model;
 }
 
@@ -1157,11 +1174,7 @@ std::string render_trace(const ScenarioSpec& spec, unsigned threads) {
   ScenarioSpec effective = spec;
   effective.threads = threads;
   std::ostringstream out;
-  TraceWriter writer(out, effective.name, effective.kind,
-                     canonical_spec_text(effective));
-  TraceSession session(writer);
-  build_with(entry, effective, &session);  // the report model is discarded
-  writer.finish();
+  build_once(entry, effective, &out, false);  // the report is discarded
   return std::move(out).str();
 }
 
@@ -1211,31 +1224,16 @@ void run(const ScenarioSpec& spec, const RunOptions& options) {
   // ONE simulation pass: the report model accumulates while the trace
   // (when requested) streams through the per-run session hooks.  Under
   // --check the trace is buffered instead so repetitions can compare
-  // its bytes.
+  // its bytes; under --progress so the heartbeat owns stderr while runs
+  // finish.  Buffered bytes stay uncompressed (the deterministic form
+  // the repetitions compare); compression happens at the write.
   const bool compare = options.check > 1;
-  const auto build_once = [&](std::string* trace_out) {
-    const obs::Snapshot before =
-        obs::metrics_enabled() ? obs::snapshot() : obs::Snapshot{};
-    std::optional<ProgressSession> progress;
-    const auto wrap = [&](RunSession* inner) -> RunSession* {
-      if (!want_progress) return inner;
-      progress.emplace(inner);
-      return &*progress;
-    };
-    ReportModel m;
-    if (trace_out == nullptr) {
-      m = build_with(entry, effective, wrap(nullptr));
-    } else {
-      std::ostringstream out;
-      TraceWriter writer(out, effective.name, effective.kind,
-                         canonical_spec_text(effective));
-      TraceSession session(writer);
-      m = build_with(entry, effective, wrap(&session));
-      writer.finish();
-      *trace_out = std::move(out).str();
-    }
-    progress.reset();  // close the heartbeat line before any rendering
-    if (obs::metrics_enabled()) fill_metrics(m, before);
+  const auto build = [&](std::string* trace_out) {
+    if (trace_out == nullptr)
+      return build_once(entry, effective, nullptr, want_progress);
+    std::ostringstream out;
+    ReportModel m = build_once(entry, effective, &out, want_progress);
+    *trace_out = std::move(out).str();
     return m;
   };
 
@@ -1243,13 +1241,9 @@ void run(const ScenarioSpec& spec, const RunOptions& options) {
   ReportModel model;
   std::string trace_bytes;
   if (trace_path.empty()) {
-    model = build_once(nullptr);
+    model = build(nullptr);
   } else if (compare || want_progress) {
-    // Buffered trace: under --check so repetitions can compare bytes;
-    // under --progress so the heartbeat owns stderr while runs finish.
-    // `trace_bytes` stays uncompressed (the deterministic form the
-    // repetitions compare); compression happens at the write.
-    model = build_once(&trace_bytes);
+    model = build(&trace_bytes);
     write_artifact(trace_path,
                    gzip_trace ? gzip_compress(trace_bytes) : trace_bytes,
                    "trace");
@@ -1259,14 +1253,7 @@ void run(const ScenarioSpec& spec, const RunOptions& options) {
     std::optional<GzipOstream> gz;
     if (gzip_trace) gz.emplace(file);
     std::ostream& out = gz ? gz->stream() : static_cast<std::ostream&>(file);
-    TraceWriter writer(out, effective.name, effective.kind,
-                       canonical_spec_text(effective));
-    TraceSession session(writer);
-    const obs::Snapshot before =
-        obs::metrics_enabled() ? obs::snapshot() : obs::Snapshot{};
-    model = build_with(entry, effective, &session);
-    if (obs::metrics_enabled()) fill_metrics(model, before);
-    writer.finish();
+    model = build_once(entry, effective, &out, false);
     if (gz) gz->finish();
     file.close();
     if (!file.good())
@@ -1290,8 +1277,7 @@ void run(const ScenarioSpec& spec, const RunOptions& options) {
   // bytes a user could observe — to come back identical.
   for (int rep = 2; rep <= options.check; ++rep) {
     std::string trace2;
-    const ReportModel again =
-        build_once(trace_path.empty() ? nullptr : &trace2);
+    const ReportModel again = build(trace_path.empty() ? nullptr : &trace2);
     const auto differs = [&](const char* what) {
       throw Error(strf("--check: %s differs between repetition 1 and %d",
                        what, rep));

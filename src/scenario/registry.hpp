@@ -83,9 +83,9 @@ void run(const ScenarioSpec& spec, const RunOptions& options = {});
 /// `run` streams to the trace path.
 std::string render_trace(const ScenarioSpec& spec, unsigned threads);
 
-/// The spec the named fig/table bench binary runs by default — also
-/// the content of the checked-in scenarios/<kind>.rats files.  Throws
-/// on unknown kinds.
+/// The kind's default spec — the content of the checked-in
+/// scenarios/<kind>.rats files (`rats emit --kind <kind>` prints it).
+/// Throws on unknown kinds.
 ScenarioSpec default_spec(const std::string& kind);
 
 }  // namespace rats::scenario

@@ -1,15 +1,13 @@
 // Declarative scenario model: platforms, workloads, algorithms, sweep
-// grids and output selection as *data* rather than compiled bench
-// binaries.
+// grids and output selection as *data*.
 //
 // A scenario is written as a `.rats` text file (see scenario/parser.hpp
 // for the grammar), bound into the ScenarioSpec struct below, and
 // executed through the kind registry (scenario/registry.hpp), which
 // maps each scenario kind onto the src/exp/ runner machinery.  Every
-// fig/table reproduction binary is expressible this way — the binaries
-// themselves build their default spec and run it through the same
-// path, so `rats run scenarios/fig2.rats` and `fig2_naive_makespan`
-// print byte-identical output.
+// figure and table of the paper is one such file — `rats run
+// scenarios/fig2.rats` reproduces Figure 2 — and `default_spec(kind)`
+// builds the same spec in code.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +55,7 @@ struct WorkloadSpec {
   presets::CorpusConfig corpus;
   std::string family = "fft";  ///< Family source only
   /// Keep at most this many entries per family (0 = no cap; ignored
-  /// with corpus.full, mirroring the benches' --full behaviour).
+  /// with corpus.full, so --full always runs the whole corpus).
   int cap_per_family = 0;
 
   /// Generate source: `count` samples of one generator.
@@ -71,8 +69,8 @@ struct WorkloadSpec {
   std::string path;
 
   /// Materializes the workload.  `announce`, when given, receives the
-  /// corpus-size lines the legacy bench binaries printed (the report
-  /// models capture them as text items; nullptr stays silent).
+  /// corpus-size lines a fig/table report opens with (the report models
+  /// capture them as text items; nullptr stays silent).
   std::vector<CorpusEntry> resolve(std::string* announce = nullptr) const;
 };
 
@@ -151,6 +149,16 @@ struct OutputSpec {
   int report_json_line = 0;
   int trace_line = 0;
 };
+
+/// Ceiling on a worker-thread count taken from outside input: a spec's
+/// `threads`, a spec submitted to `rats serve`, or `--threads`.  The
+/// worker pool starts up to that many persistent OS threads.
+inline constexpr unsigned kMaxThreads = 256;
+
+/// Whether `v` is an acceptable thread count (0 = hardware concurrency).
+constexpr bool valid_threads(long long v) {
+  return v >= 0 && v <= kMaxThreads;
+}
 
 /// One fully-described scenario.
 struct ScenarioSpec {

@@ -521,5 +521,27 @@ TEST(ScenarioErrors, FftKMustBeAPowerOfTwo) {
                      6, "power of two in [2, 16]");
 }
 
+TEST(ScenarioErrors, ThreadsAreBounded) {
+  // `threads` sizes a pool of persistent OS threads, and served specs
+  // carry it from outside: values above the ceiling — including ones
+  // that would wrap a 32-bit unsigned — are rejected at parse time.
+  expect_parse_error("[scenario]\nkind = \"fig2\"\nthreads = 100000\n", 3,
+                     "'threads' must be in [0, 256]");
+  expect_parse_error("[scenario]\nkind = \"fig2\"\nthreads = 4294967296\n",
+                     3, "'threads' must be in [0, 256]");
+  expect_parse_error("[scenario]\nkind = \"fig2\"\nthreads = -1\n", 3,
+                     "'threads' must be in [0, 256]");
+  EXPECT_EQ(parse_scenario_string("[scenario]\nkind = \"fig2\"\n"
+                                  "threads = 256\n")
+                .threads,
+            kMaxThreads);
+  // The same check bounds `--threads` on the command line.
+  EXPECT_TRUE(valid_threads(0));
+  EXPECT_TRUE(valid_threads(256));
+  EXPECT_FALSE(valid_threads(257));
+  EXPECT_FALSE(valid_threads(4294967296LL));
+  EXPECT_FALSE(valid_threads(-1));
+}
+
 }  // namespace
 }  // namespace rats::scenario

@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "daggen/kernels.hpp"
+#include "io/workflow_io.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "sched/scheduler.hpp"
@@ -455,6 +456,72 @@ TEST(TraceReplayTest, RejectsNonTraces) {
   EXPECT_NE(report.error.find("not a RATS trace"), std::string::npos);
   std::remove(path.c_str());
   EXPECT_FALSE(verify_trace("/nonexistent/trace.jsonl").ok);
+}
+
+TEST(TraceReplayTest, CsvFlagLeavesTraceBytesAlone) {
+  // `csv` only changes how the text report renders, so a trace of the
+  // same simulation is the same with and without it.
+  auto spec = scenario::load_scenario(std::string(RATS_SOURCE_DIR) +
+                                      "/scenarios/fig2_quick.rats");
+  spec.output.csv = false;
+  const std::string plain = scenario::render_trace(spec, 2);
+  spec.output.csv = true;
+  const std::string with_csv = scenario::render_trace(spec, 2);
+  EXPECT_EQ(plain, with_csv);
+  EXPECT_TRUE(verify_trace_text(plain, "plain.jsonl", 2).ok);
+  const ReplayReport replay = verify_trace_text(with_csv, "csv.jsonl", 2);
+  EXPECT_TRUE(replay.ok) << replay.error;
+}
+
+TEST(TraceReplayTest, FileWorkloadMatchesTheInMemoryGraph) {
+  // A user's workflow file reaches the scheduler only through a
+  // `source = "file"` workload: it must schedule and simulate exactly
+  // like the graph it was saved from, survive emit/parse, and replay.
+  Rng rng(11);
+  const TaskGraph graph = generate_fft_dag(8, rng);
+  const std::string path = testing::TempDir() + "file_source_fft.wf";
+  save_workflow(graph, path);
+
+  scenario::ScenarioSpec spec = scenario::default_spec("single");
+  spec.name = "file-source";
+  spec.workload.source = scenario::WorkloadSpec::Source::File;
+  spec.workload.path = path;
+  spec.platform.presets.clear();
+  spec.platform.name = "flat16";
+  spec.platform.nodes = 16;
+  spec.platform.gflops = 3.0;
+  spec.threads = 1;
+
+  const std::string emitted = scenario::emit_scenario(spec);
+  EXPECT_NE(emitted.find("source = \"file\"\n"), std::string::npos);
+  const scenario::ScenarioSpec reparsed =
+      scenario::parse_scenario_string(emitted);
+  EXPECT_EQ(reparsed.workload.source, scenario::WorkloadSpec::Source::File);
+  EXPECT_EQ(reparsed.workload.path, path);
+  EXPECT_EQ(scenario::emit_scenario(reparsed), emitted);
+
+  const Cluster cluster = spec.platform.resolve_one();
+  const AlgoSpec algo =
+      spec.algorithms.resolve(DagFamily::Irregular, cluster.name()).front();
+  const Schedule schedule = build_schedule(graph, cluster, algo.options);
+  const SimulationResult direct = simulate(graph, schedule, cluster, {});
+
+  const report::ReportModel model = scenario::build_report(spec);
+  const auto scalar = [&](const std::string& id) {
+    for (const auto& item : model.items)
+      if (item.kind == report::Item::Kind::Scalar && item.scalar.id == id)
+        return item.scalar.num;
+    ADD_FAILURE() << "missing scalar " << id;
+    return 0.0;
+  };
+  EXPECT_EQ(scalar("makespan/" + path + "/" + algo.name), direct.makespan);
+  EXPECT_EQ(scalar("work/" + path + "/" + algo.name), direct.total_work);
+
+  const std::string trace = scenario::render_trace(spec, 1);
+  const ReplayReport replay = verify_trace_text(trace, "file.jsonl", 1);
+  EXPECT_TRUE(replay.ok) << replay.error;
+  EXPECT_EQ(replay.runs, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(TraceReplayTest, UntraceableKindsRefuse) {
