@@ -264,6 +264,23 @@ OracleReport injected(const scenario::ScenarioSpec& spec) {
 
 }  // namespace
 
+OracleReport check_thread_count_independence(
+    const scenario::ScenarioSpec& spec) {
+  scenario::ScenarioSpec one = spec;
+  one.threads = 1;
+  scenario::ScenarioSpec four = spec;
+  four.threads = 4;
+  if (report::render_json(scenario::build_report(one)) !=
+      report::render_json(scenario::build_report(four)))
+    return violated("threads-determinism",
+                    "report JSON differs between 1 and 4 threads");
+  if (scenario::kind_supports_trace(spec.kind) &&
+      scenario::render_trace(spec, 1) != scenario::render_trace(spec, 4))
+    return violated("threads-determinism",
+                    "trace differs between 1 and 4 threads");
+  return {};
+}
+
 OracleReport run_battery(const scenario::ScenarioSpec& spec) {
   if (OracleReport r = injected(spec); !r.ok) return r;
   try {
@@ -344,6 +361,9 @@ OracleReport run_battery(const scenario::ScenarioSpec& spec) {
       const ReplayReport rep = verify_trace_text(t1, "<fuzz-trace>", 1);
       if (!rep.ok) return violated("trace-replay", rep.error);
     }
+
+    if (OracleReport r = check_thread_count_independence(spec); !r.ok)
+      return r;
   } catch (const Error& e) {
     return violated("exception", e.what());
   } catch (const std::exception& e) {

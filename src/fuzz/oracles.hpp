@@ -23,7 +23,9 @@
 //  * report determinism: text, CSV and JSON renderings are
 //    byte-identical across two independent build_report passes;
 //  * trace replay: the rendered trace verifies against its own
-//    embedded spec (traceable kinds).
+//    embedded spec (traceable kinds);
+//  * thread-count independence: the report JSON and the trace
+//    (traceable kinds) are byte-identical at 1 and at 4 worker threads.
 //
 // The RATS_FUZZ_INJECT environment variable deliberately breaks the
 // battery for end-to-end tests of the minimize→pin loop:
@@ -45,5 +47,11 @@ struct OracleReport {
 
 /// Runs the full battery on `spec`; stops at the first violation.
 OracleReport run_battery(const scenario::ScenarioSpec& spec);
+
+/// The battery's thread-count leg on its own: builds the report JSON
+/// and renders the trace at 1 and at 4 worker threads and compares the
+/// bytes ("threads-determinism").
+OracleReport check_thread_count_independence(
+    const scenario::ScenarioSpec& spec);
 
 }  // namespace rats::fuzz

@@ -652,7 +652,7 @@ void FluidNetwork::solve_component(std::int32_t c) {
     if (trace_)
       trace_->record(now_, TraceEventKind::SolveComponent, c, 1,
                      kSolveSingleton);
-    solver_stats().bump(solver_stats().singleton);
+    solver_stats().singleton.inc();
     comp.reset_warm();
     const FlowId id = comp.members.front();
     Rate r = flows_[static_cast<std::size_t>(id)].cap;
@@ -690,17 +690,16 @@ void FluidNetwork::solve_component(std::int32_t c) {
         arrivals_scratch_.size(), comp.pending_remove.data(),
         comp.pending_remove.size(), changed_);
     if (stats.enabled())
-      stats.add(stats.ns_warm,
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()));
+      stats.ns_warm.add_ns(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
     if (warm_ok) {
       if (trace_)
         trace_->record(now_, TraceEventKind::SolveComponent, c,
                        static_cast<std::int32_t>(comp.members.size()),
                        kSolveWarm);
-      solver_stats().bump(solver_stats().warm);
+      solver_stats().warm.inc();
       for (const auto& [id, r] : changed_) {
         // Unchanged rates keep their completion prediction; re-keying
         // would just churn the event heap.
@@ -736,7 +735,7 @@ void FluidNetwork::solve_cold(std::int32_t c) {
                    static_cast<std::int32_t>(n),
                    two_link ? kSolveBipartite : kSolveGeneral);
   SolverStats& stats = solver_stats();
-  stats.bump(two_link ? stats.bipartite : stats.general);
+  (two_link ? stats.bipartite : stats.general).inc();
   obs::PhaseTimer span(two_link ? "solve/bipartite" : "solve/general");
   const auto t0 = stats.enabled() ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
@@ -751,11 +750,10 @@ void FluidNetwork::solve_cold(std::int32_t c) {
                   link_members_, local_index_, &comp.warm, ids);
   }
   if (stats.enabled())
-    stats.add(stats.ns_cold,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count()));
+    stats.ns_cold.add_ns(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
   for (std::size_t k = 0; k < n; ++k) {
     const FlowId id = ids[k];
     // Unchanged rates keep their completion prediction; re-keying would

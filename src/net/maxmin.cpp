@@ -334,9 +334,9 @@ bool MaxMinSolver::solve_warm(
     const std::int32_t* departures, std::size_t num_departures,
     std::vector<std::pair<std::int32_t, Rate>>& changed) {
   SolverStats& stats = solver_stats();
-  stats.bump(stats.warm_attempts);
+  stats.warm_attempts.inc();
   const auto decline = [&stats] {
-    stats.bump(stats.warm_declined);
+    stats.warm_declined.inc();
     return false;
   };
   if (!state.valid) return decline();
@@ -913,7 +913,7 @@ bool MaxMinSolver::solve_warm(
     for (MaxMinWarmState::Round& r : state.rounds)
       r.first_settle -= static_cast<std::int32_t>(rm);
   }
-  stats.bump(stats.warm_hits);
+  stats.warm_hits.inc();
   if (num_work > 0)
     stats.record_warm_replay(cone_fixed, num_work);
   return true;

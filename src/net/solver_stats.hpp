@@ -2,8 +2,8 @@
 //
 // The counters live in the obs:: metrics registry under `net/...`
 // names, so they show up in `rats run --metrics` snapshots and in the
-// report's metrics section; this struct is the solver-side façade that
-// keeps the call sites one-liner cheap (`stats.bump(stats.warm)`).
+// report's metrics section; this struct resolves their handles once,
+// and call sites bump them directly (`solver_stats().warm.inc()`).
 // Bumps are gated on obs::metrics_enabled() — one predictable branch
 // when off, a relaxed fetch_add when on.
 //
@@ -56,9 +56,6 @@ struct SolverStats {
 
   bool enabled() const { return obs::metrics_enabled(); }
 
-  void bump(obs::Counter& counter) { counter.inc(); }
-  void add(obs::Counter& counter, std::uint64_t n) { counter.add(n); }
-  void add(obs::Timer& timer, std::uint64_t ns) { timer.add_ns(ns); }
   /// Records one successful warm replay: `cone` settles re-solved out
   /// of `undone` undone (kept = undone - cone).
   void record_warm_replay(std::uint64_t cone, std::uint64_t undone);

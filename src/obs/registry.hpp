@@ -1,7 +1,7 @@
 // Process-wide metrics registry — the unified observability layer.
 //
 // Every work counter in the codebase (solver strategies, warm
-// coverage, redistribution-plan cache hits, simulated runs) lives here
+// coverage, opened redistributions, simulated runs) lives here
 // as a *named* instrument: counters, gauges, nanosecond timers and
 // fixed-bucket histograms, registered once by name and bumped live
 // with relaxed atomics.  When metrics are disabled every instrument
@@ -14,10 +14,11 @@
 // and embedders) is the one switch.
 //
 // Counter *values* are run-to-run deterministic (the work they count
-// is), with one exception class: counters whose value depends on which
-// worker thread claimed which job — the per-thread redistribution-plan
-// cache hit/miss tallies — are registered `Stability::Volatile` and
-// exported separately, so CI can pin the stable section byte-for-byte.
+// is), and independent of the worker thread count, with one exception
+// class: instruments whose value depends on wall-clock timing — the
+// fuzz campaign's timeout and crash tallies, the serve daemon's job
+// gauges — are registered `Stability::Volatile` and exported
+// separately, so CI can pin the stable section byte-for-byte.
 // Timers are always volatile (they measure wall time).
 //
 // Handles returned by `counter()` / `gauge()` / `timer()` /

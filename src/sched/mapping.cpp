@@ -126,9 +126,8 @@ class Mapper {
     for (EdgeId e : g_.in_edges(t)) {
       const Edge& edge = g_.edge(e);
       const TaskPlacement& pred = sched_->of(edge.src);
-      // Candidate placements re-estimate the same (bytes, senders,
-      // receivers) redistribution over and over; the planner caches the
-      // plans.
+      // The planner reuses its scratch and output plan across the many
+      // candidate placements one mapping estimates.
       const Seconds redist = estimate_redistribution_time(
           cluster_, planner_.plan(edge.bytes, pred.procs, procs));
       data_ready = std::max(data_ready, pred.est_finish + redist);
@@ -344,7 +343,7 @@ class Mapper {
   const Allocation& alloc_;
   const MappingOptions& opt_;
   AmdahlModel model_;
-  mutable RedistPlanner planner_;  ///< caches candidate-placement plans
+  mutable RedistPlanner planner_;  ///< plans candidate placements
   std::vector<Seconds> proc_ready_;
   std::vector<char> consumed_;  ///< parents whose set was inherited
   std::vector<double> bl_;

@@ -24,26 +24,9 @@ RunOutcome placeholder() {
   return out;
 }
 
-/// Plan pass: inject everywhere, record the matrix size.
-class PlanSession final : public RunSession {
- public:
-  void begin_matrix(std::size_t runs) override { runs_ = runs; }
-  bool inject(std::size_t, const RunMeta&, RunOutcome& out) override {
-    out = placeholder();
-    return true;
-  }
-  TraceSink* begin_run(std::size_t, const RunMeta&) override {
-    return nullptr;
-  }
-  void end_run(std::size_t, const RunOutcome&) override {}
-
-  std::size_t runs() const { return runs_; }
-
- private:
-  std::size_t runs_ = 0;
-};
-
-/// Shard pass: simulate [begin, end), inject everywhere else.
+/// Shard pass: simulate [begin, end), inject everywhere else.  The
+/// plan pass is the empty shard [0, 0): it simulates nothing and only
+/// records the matrix size.
 class ShardSession final : public RunSession {
  public:
   ShardSession(std::size_t begin, std::size_t end)
@@ -126,7 +109,7 @@ ShardPlan plan_shards(const scenario::ScenarioSpec& spec,
   }
   scenario::ScenarioSpec dry = spec;
   dry.threads = 1;  // no pool threads: keeps the daemon fork-safe
-  PlanSession session;
+  ShardSession session(0, 0);
   (void)scenario::build_report(dry, &session);
   plan.sharded = true;
   plan.total_runs = session.runs();

@@ -220,11 +220,9 @@ SimulationResult simulate(const TaskGraph& graph, const Schedule& schedule,
     }
   };
 
-  // Redistribution plans repeat across task completions (and across the
-  // scenarios a worker thread replays): the per-thread planner caches
-  // them and reuses its matching scratch on misses.
+  // One planner per thread: its scratch and output plan are reused by
+  // every redistribution this thread opens, across runs.
   static thread_local RedistPlanner planner;
-  planner.tag_simulator();
 
   auto open_redistribution = [&](EdgeId e) {
     const Edge& edge = graph.edge(e);

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "exp/parallel.hpp"
 #include "fuzz/driver.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/minimize.hpp"
@@ -139,6 +140,17 @@ TEST(FuzzOracles, GeneratedSpecsPassTheBattery) {
     const OracleReport report = run_battery(spec);
     EXPECT_TRUE(report.ok) << report.diagnosis;
   }
+}
+
+TEST(FuzzOracles, ThreadCountLegAgreesOnGeneratedSpecs) {
+  for (int i = 0; i < 4; ++i) {
+    const scenario::ScenarioSpec spec = generate_spec(spec_seed(11, i));
+    SCOPED_TRACE(spec.name);
+    const OracleReport report = check_thread_count_independence(spec);
+    EXPECT_TRUE(report.ok) << report.diagnosis;
+  }
+  // The 4-thread side really ran on pool workers.
+  EXPECT_GT(worker_pool_size(), 0u);
 }
 
 TEST(FuzzOracles, InjectedOracleFlagsFailTimelines) {
